@@ -16,7 +16,7 @@ from .mesh import (BoundaryConditions, FilterOperator, StructuredMesh,
                    build_mesh, element_stiffness, rigid_body_modes)
 from .multigrid import (MgHierarchy, SmootherConfig, build_gmg, build_hybrid,
                         build_sa_amg)
-from .optimization import (DesignState, MmaState, OptimizationProblem,
+from .optimization import (DesignState, MmaState, OptimizationProblem, SolveFailed,
                            SolverHarness, compliance_and_sensitivity, mma_update,
                            run_optimization, stability_objective_and_sensitivity)
 
@@ -32,6 +32,6 @@ __all__ = [
     "assemble_stress_stiffness", "build_filter", "build_mesh",
     "element_stiffness", "rigid_body_modes", "MgHierarchy", "SmootherConfig",
     "build_gmg", "build_hybrid", "build_sa_amg", "DesignState", "MmaState",
-    "OptimizationProblem", "SolverHarness", "compliance_and_sensitivity",
+    "OptimizationProblem", "SolveFailed", "SolverHarness", "compliance_and_sensitivity",
     "mma_update", "run_optimization", "stability_objective_and_sensitivity",
 ]

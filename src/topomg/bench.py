@@ -105,64 +105,47 @@ CONFIG_SCHEMA = {
 # problem setups
 # ---------------------------------------------------------------------------
 
+def _supported_problem(mesh, fixed_nodes, load_nodes, load_dof):
+    """Fix every dof of `fixed_nodes`; spread a unit load along -`load_dof` over
+    the line of `load_nodes` with trapezoid weights (one node carries it all)."""
+    dpn = mesh.dofs_per_node
+    fixed = (np.ravel(fixed_nodes)[:, None] * dpn + np.arange(dpn)).ravel()
+    w = np.ones(np.size(load_nodes))
+    w[[0, -1]] = 0.5
+    f = np.zeros(mesh.total_dofs)
+    f[dpn * np.asarray(load_nodes) + load_dof] = -w / w.sum()
+    return mesh, BoundaryConditions(fixed, f)
+
+
 def cantilever2d_problem(dims):
     """2:1 cantilever: left edge fixed, unit point load at mid right edge."""
     nx, ny = dims
     mesh = build_mesh((nx, ny), (1.0 / ny, 1.0 / ny))
-    nd = mesh.total_dofs
-    left = [mesh.node_index(0, j) for j in range(ny + 1)]
-    fixed = np.array([2 * n + c for n in left for c in (0, 1)])
-    f = np.zeros(nd)
-    f[2 * mesh.node_index(nx, ny // 2) + 1] = -1.0
-    return mesh, BoundaryConditions(fixed, f)
+    return _supported_problem(mesh, mesh.node_index(0, np.arange(ny + 1)),
+                              [mesh.node_index(nx, ny // 2)], 1)
 
 
 def column_problem(dims):
     """4:1 column: bottom edge fully fixed, uniform compressive load on top."""
     nx, ny = dims
     mesh = build_mesh((nx, ny), (1.0 / nx, 1.0 / nx))
-    nd = mesh.total_dofs
-    bottom = [mesh.node_index(i, 0) for i in range(nx + 1)]
-    fixed = np.array([2 * n + c for n in bottom for c in (0, 1)])
-    f = np.zeros(nd)
-    w = np.ones(nx + 1)
-    w[0] = w[-1] = 0.5
-    w /= w.sum()
-    for i in range(nx + 1):
-        f[2 * mesh.node_index(i, ny) + 1] = -w[i]
-    return mesh, BoundaryConditions(fixed, f)
+    edge = np.arange(nx + 1)
+    return _supported_problem(mesh, mesh.node_index(edge, 0),
+                              mesh.node_index(edge, ny), 1)
 
 
 def grid_problem(domain):
     """Unit square: bottom edge fully fixed, uniform distributed load on top."""
-    n = domain
-    mesh = build_mesh((n, n), (1.0 / n, 1.0 / n))
-    nd = mesh.total_dofs
-    bottom = [mesh.node_index(i, 0) for i in range(n + 1)]
-    fixed = np.array([2 * m + c for m in bottom for c in (0, 1)])
-    f = np.zeros(nd)
-    w = np.ones(n + 1)
-    w[0] = w[-1] = 0.5
-    w /= w.sum()
-    for i in range(n + 1):
-        f[2 * mesh.node_index(i, n) + 1] = -w[i]
-    return mesh, BoundaryConditions(fixed, f)
+    return column_problem((domain, domain))
 
 
 def cantilever3d_problem(dims):
     """2:1:1 cantilever: x=0 face fixed, downward load on bottom edge of far face."""
     nx, ny, nz = dims
     mesh = build_mesh((nx, ny, nz), (1.0 / ny, 1.0 / ny, 1.0 / ny))
-    nd = mesh.total_dofs
-    face = [mesh.node_index(0, j, k) for j in range(ny + 1) for k in range(nz + 1)]
-    fixed = np.array([3 * n + c for n in face for c in (0, 1, 2)])
-    f = np.zeros(nd)
-    w = np.ones(ny + 1)
-    w[0] = w[-1] = 0.5
-    w /= w.sum()
-    for j in range(ny + 1):
-        f[3 * mesh.node_index(nx, j, 0) + 2] = -w[j]
-    return mesh, BoundaryConditions(fixed, f)
+    j, k = np.meshgrid(np.arange(ny + 1), np.arange(nz + 1))
+    return _supported_problem(mesh, mesh.node_index(0, j, k),
+                              mesh.node_index(nx, np.arange(ny + 1), 0), 2)
 
 
 PROBLEMS = {

@@ -35,11 +35,6 @@ class SolveRecord:
     residual_history: list = field(default_factory=list)
     converged: bool = False
 
-    def csv_row(self):
-        final = self.residual_history[-1] if self.residual_history else 0.0
-        return (f"{self.iterations},{self.setup_time:.6f},{self.solve_time:.6f},"
-                f"{final:.6e},{int(self.converged)}")
-
 
 def _identity(v):
     return v
@@ -141,11 +136,3 @@ def fgmres_solve(A, b, x0=None, M=None, cfg=None):
     """Flexible GMRES; M may change between applications (e.g. inner Krylov)."""
     cfg = cfg or SolveConfig(method="fgmres")
     return _gmres_core(A, b, x0, M, cfg, flexible=True)
-
-
-def solve(A, b, x0=None, M=None, cfg=None):
-    """Dispatch on cfg.method."""
-    cfg = cfg or SolveConfig()
-    if cfg.method == "fgmres":
-        return fgmres_solve(A, b, x0, M, cfg)
-    return gmres_solve(A, b, x0, M, cfg)

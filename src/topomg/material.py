@@ -57,22 +57,6 @@ class StressSimpLaw:
         return np.where(rho >= self.threshold, d, 0.0)
 
 
-def simp_modulus(law, rho):
-    return law.modulus(rho)
-
-
-def simp_modulus_derivative(law, rho):
-    return law.modulus_derivative(rho)
-
-
-def stress_simp_modulus(law, rho):
-    return law.modulus(rho)
-
-
-def stress_simp_modulus_derivative(law, rho):
-    return law.modulus_derivative(rho)
-
-
 @dataclass(frozen=True)
 class PenaltySchedule:
     """Continuation schedule: penalty start -> stop by increment, a fixed number
@@ -114,7 +98,3 @@ class PenaltySchedule:
         for p, s in self.values():
             out.extend([p] * s)
         return np.array(out)
-
-
-def penalty_sequence(schedule):
-    return schedule.values()

@@ -1,11 +1,10 @@
 """Multigrid hierarchies and V-cycle preconditioning.
 
-Three construction routes over the same level/V-cycle machinery:
-
-* geometric (structured-grid shape-function transfers),
-* smoothed aggregation (strength graph, greedy node aggregation, smoothed
-  tentative prolongation from rigid-body-mode candidates),
-* hybrid (geometric on the finest levels, algebraic below).
+One builder, `build_hybrid`, coarsens the finest n_geo levels geometrically
+(structured-grid shape-function transfers) and the rest by smoothed
+aggregation (strength graph, greedy node aggregation, smoothed tentative
+prolongation from rigid-body-mode candidates). Its two ends are pure SA-AMG
+(n_geo=0, `build_sa_amg`) and pure GMG (n_geo=None, `build_gmg`).
 
 All coarse operators come from the Galerkin triple product P^T A P and the
 coarsest operator is factorized once at build time.
@@ -110,7 +109,7 @@ class SorChebyshevSmoother:
     """Fixed-degree Chebyshev polynomial in the SOR-preconditioned operator.
 
     Eigenvalue bounds are [0.1, 1.1] times a spectral-radius estimate from 10
-    power-method steps; the estimate is recorded on the instance.
+    power-method steps.
     """
 
     def __init__(self, A, config, seed=0):
@@ -125,7 +124,6 @@ class SorChebyshevSmoother:
             w = self.sor.solve(A @ v)
             lam = float(np.linalg.norm(w))
             v = w
-        self.lmax_estimate = lam
         self.bounds = (0.1 * lam, 1.1 * lam)
 
     def apply(self, x, b, passes):
@@ -253,12 +251,6 @@ class MgHierarchy:
         ]
 
 
-def _finalize(levels, n_pre, n_post, flags, smoother_config):
-    lu = spla.splu(levels[-1].A.tocsc())
-    return MgHierarchy(levels=levels, coarse_solve=lu.solve, n_pre=n_pre,
-                       n_post=n_post, flags=flags, smoother_config=smoother_config)
-
-
 def _galerkin(A, P):
     Ac = (P.T @ A @ P).tocsr()
     Ac.sum_duplicates()
@@ -269,10 +261,6 @@ def _galerkin(A, P):
 # geometric construction
 # ---------------------------------------------------------------------------
 
-def _coarsen_dims(dims):
-    return tuple(max(1, -(-d // 2)) for d in dims)
-
-
 def gmg_level_dims(dims, dofs_per_node, coarse_max_dofs):
     """Planned element dims per level for a geometric hierarchy (fine first)."""
     out = [tuple(dims)]
@@ -281,7 +269,7 @@ def gmg_level_dims(dims, dofs_per_node, coarse_max_dofs):
         dofs = dofs_per_node * int(np.prod([d + 1 for d in cur]))
         if dofs <= coarse_max_dofs or all(d <= 1 for d in cur):
             break
-        out.append(_coarsen_dims(cur))
+        out.append(tuple(max(1, -(-d // 2)) for d in cur))
     return out
 
 
@@ -317,23 +305,7 @@ def geometric_prolongation(fine_dims, dofs_per_node):
 
 def build_gmg(mesh, K, coarse_max_dofs, smoother=None, n_pre=1, n_post=1):
     """Geometric hierarchy: bilinear/trilinear transfers, Galerkin coarse ops."""
-    smoother = smoother or SmootherConfig()
-    plan = gmg_level_dims(mesh.dims, mesh.dofs_per_node, coarse_max_dofs)
-    flags = []
-    if len(plan) == 1:
-        flags.append("no_coarsening_possible")
-    levels = []
-    A = sp.csr_matrix(K)
-    for dims in plan[:-1]:
-        P = geometric_prolongation(dims, mesh.dofs_per_node)
-        levels.append(MgLevel(A=A, P=P, provenance="geometric",
-                              smoother=make_smoother(smoother, A,
-                                                     mesh.dofs_per_node)))
-        A = _galerkin(A, P)
-    levels.append(MgLevel(A=A, P=None, provenance="geometric"))
-    if levels[-1].A.shape[0] > coarse_max_dofs:
-        flags.append("coarse_bound_not_reached")
-    return _finalize(levels, n_pre, n_post, flags, smoother)
+    return build_hybrid(mesh, K, None, None, coarse_max_dofs, smoother, n_pre, n_post)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +355,11 @@ def aggregate_nodes(graph):
     Returns (aggregate_ids, flags): a root-node pass, absorption of leftovers
     into neighboring aggregates, then forced pairwise aggregation if the graph
     is too disconnected to make progress.
+
+    Nodes with no strong neighbor become singletons and raise `isolated_nodes`.
+    Dirichlet rows are identity rows with no off-diagonal coupling, so every
+    fixed node is isolated and the flag fires on uniform designs too (on a
+    uniform 96x48 cantilever the 49 isolated nodes are its 49 fixed nodes).
     """
     adj = graph.adjacency
     n = graph.n_nodes
@@ -555,55 +532,59 @@ def _sa_levels(A, near_nullspace, coarse_max_dofs, smoother, block_size, flags,
 def build_sa_amg(K, near_nullspace, coarse_max_dofs, smoother=None,
                  n_pre=1, n_post=1, seed=0):
     """Smoothed-aggregation hierarchy from the operator and candidate vectors."""
-    smoother = smoother or SmootherConfig()
-    B = np.asarray(near_nullspace, dtype=float)
-    if B.ndim != 2 or B.shape[0] != K.shape[0]:
-        raise ValueError("near_nullspace must be (ndofs, nvec)")
-    block_size = 2 if B.shape[1] == 3 else 3 if B.shape[1] == 6 else 1
-    flags = []
-    levels = _sa_levels(sp.csr_matrix(K), B, coarse_max_dofs, smoother,
-                        block_size, flags, seed=seed)
-    return _finalize(levels, n_pre, n_post, flags, smoother)
+    return build_hybrid(None, K, near_nullspace, 0, coarse_max_dofs, smoother,
+                        n_pre, n_post, seed)
 
 
 # ---------------------------------------------------------------------------
-# hybrid construction
+# the hierarchy builder
 # ---------------------------------------------------------------------------
 
 def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
                  n_pre=1, n_post=1, seed=0):
     """Geometric transfers on the finest n_geo levels, smoothed aggregation below.
 
-    n_geo=0 reduces to pure SA-AMG; n_geo covering the whole hierarchy
-    reduces to pure GMG.
+    n_geo=0 is pure SA-AMG, the only case that reads `near_nullspace` (and
+    may have mesh=None). n_geo=None is pure GMG, down to a geometric coarsest
+    level. Otherwise aggregation starts from the rigid-body modes of the
+    coarsest geometric grid.
     """
+    if n_geo is not None and n_geo < 0:
+        raise ValueError("n_geo must be >= 0, or None for pure GMG")
     smoother = smoother or SmootherConfig()
-    if n_geo <= 0:
-        return build_sa_amg(K, near_nullspace, coarse_max_dofs, smoother,
-                            n_pre, n_post, seed=seed)
-    flags = []
-    levels = []
     A = sp.csr_matrix(K)
-    dims = mesh.dims
-    sizes = mesh.element_size
-    for _ in range(n_geo):
-        if all(d <= 1 for d in dims):
-            flags.append("geometric_coarsening_exhausted")
-            break
-        if A.shape[0] <= coarse_max_dofs:
-            break
-        P = geometric_prolongation(dims, mesh.dofs_per_node)
-        levels.append(MgLevel(A=A, P=P, provenance="geometric",
-                              smoother=make_smoother(smoother, A,
-                                                     mesh.dofs_per_node)))
-        A = _galerkin(A, P)
-        dims = _coarsen_dims(dims)
-        sizes = tuple(2 * h for h in sizes)
-    coarse_mesh = StructuredMesh(dims, sizes)
-    B = rigid_body_modes(coarse_mesh)
-    levels += _sa_levels(A, B, coarse_max_dofs, smoother,
-                         coarse_mesh.dofs_per_node, flags, seed=seed)
-    return _finalize(levels, n_pre, n_post, flags, smoother)
+    levels, flags = [], []
+    if n_geo == 0:
+        B = np.asarray(near_nullspace, dtype=float)
+        if B.ndim != 2 or B.shape[0] != K.shape[0]:
+            raise ValueError("near_nullspace must be (ndofs, nvec)")
+        block_size = 2 if B.shape[1] == 3 else 3 if B.shape[1] == 6 else 1
+    else:
+        block_size = mesh.dofs_per_node
+        plan = gmg_level_dims(mesh.dims, block_size, coarse_max_dofs)
+        n_fine = len(plan) - 1 if n_geo is None else min(n_geo, len(plan) - 1)
+        for dims in plan[:n_fine]:
+            P = geometric_prolongation(dims, block_size)
+            levels.append(MgLevel(A=A, P=P, provenance="geometric",
+                                  smoother=make_smoother(smoother, A, block_size)))
+            A = _galerkin(A, P)
+        if n_geo is None:
+            if len(plan) == 1:
+                flags.append("no_coarsening_possible")
+            if A.shape[0] > coarse_max_dofs:
+                flags.append("coarse_bound_not_reached")
+            levels.append(MgLevel(A=A, P=None, provenance="geometric"))
+        else:
+            if n_geo > n_fine and all(d <= 1 for d in plan[-1]):
+                flags.append("geometric_coarsening_exhausted")
+            B = rigid_body_modes(StructuredMesh(
+                plan[n_fine], tuple(h * 2 ** n_fine for h in mesh.element_size)))
+    if n_geo is not None:
+        levels += _sa_levels(A, B, coarse_max_dofs, smoother, block_size, flags,
+                             seed=seed)
+    lu = spla.splu(levels[-1].A.tocsc())
+    return MgHierarchy(levels=levels, coarse_solve=lu.solve, n_pre=n_pre,
+                       n_post=n_post, flags=flags, smoother_config=smoother)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from .material import PenaltySchedule, SimpLaw, StressSimpLaw
 from .mesh import (assemble_stiffness, assemble_stress_stiffness, element_stiffness,
                    geometric_stiffness_tensor, rigid_body_modes)
 from .multigrid import (AdaptiveHybridController, SmootherConfig, adapt_after_solve,
-                        build_gmg, build_hybrid, build_sa_amg, gmg_level_dims)
+                        build_hybrid, gmg_level_dims)
 
 
 @dataclass
@@ -27,6 +27,27 @@ class DesignState:
     objective: float = np.nan
     sensitivity_alpha: np.ndarray | None = None
     volume_fraction: float = np.nan
+
+
+class SolveFailed(RuntimeError):
+    """A solve did not converge; `record` is its SolveRecord or EigenResult."""
+
+    def __init__(self, message, record):
+        super().__init__(message)
+        self.record = record
+
+
+def _check_converged(what, record, n_modes=None):
+    """Raise SolveFailed unless a Krylov solve converged or, given n_modes, an
+    eigensolve converged all of them."""
+    if n_modes is None and not record.converged:
+        raise SolveFailed("%s failed to converge (%d iterations, final residual %.3e)"
+                          % (what, record.iterations, record.residual_history[-1]),
+                          record)
+    if n_modes is not None and record.converged_count < n_modes:
+        raise SolveFailed("%s failed to converge (%d of %d modes in %d iterations)"
+                          % (what, record.converged_count, n_modes, record.iterations),
+                          record)
 
 
 # ---------------------------------------------------------------------------
@@ -58,28 +79,20 @@ class SolverHarness:
             start = max(2, min(self.n_geo, n_levels - 1))
             self.controller = AdaptiveHybridController(n_geo_current=start)
 
-    @property
-    def near_nullspace(self):
-        return rigid_body_modes(self.mesh, self.fixed_dofs)
-
     def build(self, K):
+        """The strategy's point on the n_geo axis of `build_hybrid`, built;
+        returns (hierarchy, or None for 'none', seconds)."""
         t0 = time.perf_counter()
         if self.strategy == "none":
             return None, time.perf_counter() - t0
-        if self.strategy == "gmg":
-            h = build_gmg(self.mesh, K, self.coarse_max_dofs, self.smoother)
-        elif self.strategy == "amg":
-            h = build_sa_amg(K, self.near_nullspace, self.coarse_max_dofs,
-                             self.smoother, seed=self.seed)
-        elif self.strategy == "hybrid":
-            h = build_hybrid(self.mesh, K, self.near_nullspace, self.n_geo,
-                             self.coarse_max_dofs, self.smoother, seed=self.seed)
-        elif self.strategy == "hybrid_adaptive":
-            h = build_hybrid(self.mesh, K, self.near_nullspace,
-                             self.controller.n_geo_current, self.coarse_max_dofs,
-                             self.smoother, seed=self.seed)
-        else:
+        by_strategy = {"amg": 0, "gmg": None, "hybrid": self.n_geo,
+                       "hybrid_adaptive": getattr(self.controller, "n_geo_current", None)}
+        if self.strategy not in by_strategy:
             raise ValueError("unknown preconditioner strategy %r" % self.strategy)
+        n_geo = by_strategy[self.strategy]
+        B = rigid_body_modes(self.mesh, self.fixed_dofs) if n_geo == 0 else None
+        h = build_hybrid(self.mesh, K, B, n_geo, self.coarse_max_dofs, self.smoother,
+                         seed=self.seed)
         return h, time.perf_counter() - t0
 
     def solve(self, K, f, x0=None, hierarchy=None):
@@ -115,16 +128,13 @@ def compliance_and_sensitivity(mesh, bc, filt, law, alpha, harness, u0=None):
     """Compliance F = f^T u and its design sensitivity via the adjoint identity.
 
     Returns (F, dF/dalpha, aux) where aux carries u, K, the solve record and
-    the hierarchy for reuse.
+    the hierarchy for reuse. Raises SolveFailed if the solve does not converge.
     """
     rho = filt.apply(alpha)
     E = law.modulus(rho)
     K = assemble_stiffness(mesh, bc, E)
     u, rec, hierarchy = harness.solve(K, bc.load_vector, u0)
-    if not rec.converged:
-        raise RuntimeError(
-            "displacement solve failed to converge (%d iterations, final residual %.3e)"
-            % (rec.iterations, rec.residual_history[-1]))
+    _check_converged("displacement solve", rec)
     F = float(bc.load_vector @ u)
     dF_drho = -law.modulus_derivative(rho) * element_strain_energies(mesh, u)
     dF_dalpha = filt.apply_transpose(dF_drho)
@@ -177,7 +187,8 @@ def stability_objective_and_sensitivity(mesh, bc, filt, law, stress_law, alpha,
     """Aggregated buckling objective F = (sum lambda_i^8)^(1/8) and dF/dalpha.
 
     One adjoint solve per mode, all started from zero. Returns (F, dF/dalpha, aux)
-    with the eigensolver result and solve records in aux.
+    with the eigensolver result and solve records in aux. Raises SolveFailed if
+    the displacement solve, an adjoint solve or the eigensolve does not converge.
     """
     eig_cfg = eig_cfg or DavidsonConfig()
     rho = filt.apply(alpha)
@@ -185,12 +196,14 @@ def stability_objective_and_sensitivity(mesh, bc, filt, law, stress_law, alpha,
     Es = stress_law.modulus(rho)
     K = assemble_stiffness(mesh, bc, E)
     u, rec, hierarchy = harness.solve(K, bc.load_vector, u0)
+    _check_converged("displacement solve", rec)
     tensor = geometric_stiffness_tensor(mesh)
     Ks = assemble_stress_stiffness(mesh, bc, u, Es, tensor=tensor)
     t_eig = time.perf_counter()
     eig = generalized_davidson(Ks, K, hierarchy.apply if hierarchy else None,
                                eig_cfg, initial_space)
     t_eig = time.perf_counter() - t_eig
+    _check_converged("eigensolve", eig, eig_cfg.n_modes)
     n_used = eig.eigenvalues.size
     ke = element_stiffness(mesh, 1.0)
     dlam = np.zeros((n_used, mesh.element_count))
@@ -200,6 +213,7 @@ def stability_objective_and_sensitivity(mesh, bc, filt, law, stress_law, alpha,
         phi = eig.eigenvectors[:, i]
         rhs = adjoint_rhs(mesh, u, phi, Es, tensor, bc.fixed_dofs)
         v, arec, _ = harness.solve(K, rhs, x0=None, hierarchy=hierarchy)
+        _check_converged("adjoint solve %d" % i, arec)
         adjoint_iters += arec.iterations
         dlam[i] = eigenvalue_sensitivity(mesh, bc, law, stress_law, rho, u,
                                          eig.eigenvalues[i], phi, v, ke, tensor)

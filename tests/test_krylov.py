@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from topomg.krylov import SolveConfig, fgmres_solve, gmres_solve, solve
+from topomg.krylov import SolveConfig, fgmres_solve, gmres_solve
 from topomg.mesh import BoundaryConditions, assemble_stiffness, build_mesh
 from topomg.multigrid import SmootherConfig, build_gmg
 
@@ -107,13 +107,6 @@ def test_max_iterations_not_converged():
     _, rec = gmres_solve(A, b, cfg=cfg)
     assert not rec.converged
     assert rec.iterations == 3
-
-
-def test_solve_dispatch():
-    A, b = spd_system(20, seed=7)
-    x1, _ = solve(A, b, cfg=SolveConfig(method="gmres", rtol=1e-9))
-    x2, _ = solve(A, b, cfg=SolveConfig(method="fgmres", rtol=1e-9))
-    assert np.allclose(x1, x2, atol=1e-6)
 
 
 def test_config_validation():

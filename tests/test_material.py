@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from topomg.material import PenaltySchedule, SimpLaw, StressSimpLaw, penalty_sequence
+from topomg.material import PenaltySchedule, SimpLaw, StressSimpLaw
 
 
 def central_fd(f, x, h=1e-6):
@@ -96,7 +96,7 @@ def test_stress_derivative_matches_fd_above_threshold():
 
 def test_schedule_cantilever():
     s = PenaltySchedule(start=1.0, stop=4.0, increment=0.25, steps_per_value=20)
-    vals = penalty_sequence(s)
+    vals = s.values()
     assert len(vals) == 13
     assert s.total_iterations() == 260
     assert vals[0] == (1.0, 20) and vals[-1] == (4.0, 20)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from topomg.bench import cantilever2d_problem
 from topomg.mesh import (BoundaryConditions, assemble_stiffness, build_mesh,
                          rigid_body_modes)
 from topomg.multigrid import (AdaptiveHybridController, SmootherConfig,
@@ -11,6 +12,7 @@ from topomg.multigrid import (AdaptiveHybridController, SmootherConfig,
                               build_hybrid, build_sa_amg, geometric_prolongation,
                               gmg_level_dims, make_smoother, smooth,
                               strength_of_connection, tentative_prolongation)
+from topomg.optimization import SolverHarness
 
 
 def cantilever_k(dims, moduli=None, seed=0):
@@ -231,6 +233,62 @@ def test_hybrid_provenance_pattern_3d():
     assert all(k == "algebraic" for k in kinds[2:])
     assert h.n_geometric == 2
     assert galerkin_consistency(h) <= 1e-12
+
+
+def test_hybrid_ends_keep_their_coarsest_level_and_flags():
+    # 2x1 elements, bound 5: geometric coarsening stops at one element (8 dofs)
+    mesh, bc, K = cantilever_k((2, 1))
+    B = rigid_body_modes(mesh, bc.fixed_dofs)
+    hg = build_hybrid(mesh, K, None, None, coarse_max_dofs=5)
+    assert [lv.provenance for lv in hg.levels] == ["geometric", "geometric"]
+    assert hg.flags == ["coarse_bound_not_reached"]
+    hh = build_hybrid(mesh, K, B, 9, coarse_max_dofs=5)
+    assert [lv.provenance for lv in hh.levels] == ["geometric", "algebraic", "algebraic"]
+    assert hh.flags == ["geometric_coarsening_exhausted"]
+    assert build_gmg(mesh, K, 100).flags == ["no_coarsening_possible"]
+    with pytest.raises(ValueError):
+        build_hybrid(mesh, K, B, -1, coarse_max_dofs=5)
+
+
+@pytest.fixture(scope="module")
+def uniform_cantilever():
+    mesh, bc = cantilever2d_problem((96, 48))
+    return mesh, bc, assemble_stiffness(mesh, bc, np.full(mesh.element_count, 0.4))
+
+
+@pytest.mark.parametrize("strategy, sizes, nnz, kinds, flags", [
+    ("amg", [9506, 1632, 198], [129594, 41642, 4536], "aaa", ["isolated_nodes"]),
+    ("gmg", [9506, 2450, 650, 182], [129594, 38016, 10804, 2812], "gggg", []),
+    ("hybrid", [9506, 2450, 650, 135], [129594, 38016, 10804, 3033], "ggaa", []),
+])
+def test_harness_hierarchy_per_strategy(uniform_cantilever, strategy, sizes, nnz,
+                                        kinds, flags):
+    mesh, bc, K = uniform_cantilever
+    harness = SolverHarness(mesh=mesh, strategy=strategy, coarse_max_dofs=200,
+                            n_geo=2, fixed_dofs=bc.fixed_dofs)
+    h, _ = harness.build(K)
+    assert [lv.A.shape[0] for lv in h.levels] == sizes
+    assert [lv.A.nnz for lv in h.levels] == nnz
+    assert "".join(lv.provenance[0] for lv in h.levels) == kinds
+    assert h.flags == flags
+
+
+def test_harness_none_builds_nothing(uniform_cantilever):
+    mesh, bc, K = uniform_cantilever
+    assert SolverHarness(mesh=mesh, strategy="none").build(K)[0] is None
+
+
+def test_harness_adaptive_demotes_one_geometric_level_per_slow_solve():
+    mesh, bc, K = cantilever_k((32, 16))  # 5 geometric levels down to 20 dofs
+    ctrl = AdaptiveHybridController(n_geo_current=3, min_geo=2, iteration_threshold=1)
+    harness = SolverHarness(mesh=mesh, strategy="hybrid_adaptive", coarse_max_dofs=20,
+                            fixed_dofs=bc.fixed_dofs, controller=ctrl)
+    seen = []
+    for _ in range(3):
+        _, rec, h = harness.solve(K, bc.load_vector)
+        assert rec.converged and rec.iterations > ctrl.iteration_threshold
+        seen.append((h.n_geometric, ctrl.n_geo_current))
+    assert seen == [(3, 2), (2, 2), (2, 2)]
 
 
 def test_hierarchy_summary_json_shape():

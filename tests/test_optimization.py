@@ -5,14 +5,15 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from topomg.eigensolver import DavidsonConfig
-from topomg.krylov import SolveConfig
+from topomg.bench import column_problem
+from topomg.eigensolver import DavidsonConfig, EigenResult
+from topomg.krylov import SolveConfig, SolveRecord
 from topomg.material import PenaltySchedule, SimpLaw, StressSimpLaw
 from topomg.mesh import (BoundaryConditions, assemble_stiffness,
                          assemble_stress_stiffness, build_filter, build_mesh,
                          element_stiffness, geometric_stiffness_tensor)
-from topomg.optimization import (MmaState, OptimizationProblem, SolverHarness,
-                                 adjoint_rhs, compliance_and_sensitivity,
+from topomg.optimization import (MmaState, OptimizationProblem, SolveFailed,
+                                 SolverHarness, adjoint_rhs, compliance_and_sensitivity,
                                  eigenvalue_sensitivity, mma_update,
                                  pnorm_aggregate, run_optimization,
                                  stability_objective_and_sensitivity)
@@ -121,6 +122,35 @@ def test_compliance_nonconvergence_raises():
     with pytest.raises(RuntimeError):
         compliance_and_sensitivity(mesh, bc, filt, SimpLaw(),
                                    np.full(mesh.element_count, 0.5), harness)
+
+
+@pytest.mark.parametrize("max_iterations, eig_iterations, exact_start, failing", [
+    (3, 1000, False, "displacement solve"),
+    (1000, 5, False, "eigensolve"),
+    (3, 1000, True, "adjoint solve 0"),
+])
+def test_stability_nonconvergence_raises(max_iterations, eig_iterations, exact_start,
+                                         failing):
+    mesh, bc = column_problem((8, 32))
+    filt = build_filter(mesh, 1.5)
+    law, stress_law = SimpLaw(penalty=1.0), StressSimpLaw(penalty=1.0)
+    alpha = np.full(mesh.element_count, 0.4)
+    harness = SolverHarness(mesh=mesh, strategy="amg", coarse_max_dofs=60,
+                            solve_cfg=SolveConfig(max_iterations=max_iterations),
+                            fixed_dofs=bc.fixed_dofs)
+    # an exact start converges the displacement solve in 0 iterations, so only
+    # the adjoint solves can run out of iterations
+    K = assemble_stiffness(mesh, bc, law.modulus(filt.apply(alpha)))
+    u0 = spla.spsolve(K.tocsc(), bc.load_vector) if exact_start else None
+    with pytest.raises(SolveFailed, match=failing) as err:
+        stability_objective_and_sensitivity(
+            mesh, bc, filt, law, stress_law, alpha, harness,
+            DavidsonConfig(max_iterations=eig_iterations), u0=u0)
+    record = err.value.record
+    if failing == "eigensolve":
+        assert isinstance(record, EigenResult) and record.converged_count < 6
+    else:
+        assert isinstance(record, SolveRecord) and not record.converged
 
 
 # ---------------------------------------------------------------------------
