@@ -6,17 +6,9 @@ Exit codes: 0 success, 1 usage/configuration error, 2 runtime failure
 
 import argparse
 import json
-import os
 import sys
 
 from . import bench
-
-
-def _set_threads(n):
-    if n is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
 
 
 def _load_config(path, output_override):
@@ -37,7 +29,6 @@ def _cmd_run(args):
         print("error: a config file is required (or use --print-schema)",
               file=sys.stderr)
         return 1
-    _set_threads(args.threads)
     try:
         cfg = _load_config(args.config, args.output)
     except FileNotFoundError:
@@ -56,7 +47,6 @@ def _cmd_run(args):
 
 
 def _cmd_grid(args):
-    _set_threads(args.threads)
     raw = {
         "problem": "grid_diagnostic",
         "preconditioner": {"strategy": args.strategy},
@@ -104,8 +94,6 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="run a configured benchmark")
     p_run.add_argument("config", nargs="?", help="JSON configuration file")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="BLAS/OpenMP thread count")
     p_run.add_argument("--output", default=None, help="output directory override")
     p_run.add_argument("--print-schema", action="store_true",
                        help="print the JSON config schema and exit")
@@ -118,7 +106,6 @@ def build_parser():
                         choices=["gmg", "amg", "hybrid", "hybrid_adaptive", "none"])
     p_grid.add_argument("--domain", type=int, default=264)
     p_grid.add_argument("--width", type=int, default=4)
-    p_grid.add_argument("--threads", type=int, default=None)
     p_grid.add_argument("--output", default="topomg_out")
     p_grid.set_defaults(func=_cmd_grid)
 

@@ -5,6 +5,7 @@ preconditioned residuals. Converged modes are locked (kept in the basis for
 implicit deflation) while the iteration continues on the next target.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,32 +77,31 @@ def rayleigh_ritz(A, B, V):
         except scipy.linalg.LinAlgError:
             if attempt == 1:
                 raise
-            V = _reorthonormalize(V, B)
+            V = _b_basis(V.T, B)
     order = np.argsort(theta)[::-1]
     theta = theta[order]
     y = y[:, order]
     return theta, V @ y
 
 
-def _reorthonormalize(V, B):
-    out = []
-    W = None
-    for j in range(V.shape[1]):
-        W = np.column_stack(out) if out else None
-        z = b_orthonormalize(W, V[:, j], B)
-        if z is not None:
-            out.append(z)
-    return np.column_stack(out)
+def _b_basis(candidates, B, locked=(), limit=None, V=None):
+    """Extend the B-orthonormal columns of V (none by default) from `candidates`.
 
-
-def _random_b_basis(n, k, B, rng):
-    cols = []
-    while len(cols) < k:
-        z = b_orthonormalize(np.column_stack(cols) if cols else None,
-                             rng.standard_normal(n), B)
+    Each candidate is deflated against the B-orthonormal `locked` vectors,
+    B-orthonormalized against the columns kept so far and dropped if it is
+    numerically dependent on them. Stops once there are `limit` columns or the
+    candidates run out; returns None if no column was kept.
+    """
+    L = np.column_stack(locked) if len(locked) else None
+    for z in candidates:
+        if L is not None:
+            z = z - L @ (L.T @ (B @ z))
+        z = b_orthonormalize(V, z, B)
         if z is not None:
-            cols.append(z)
-    return np.column_stack(cols)
+            V = np.column_stack([z] if V is None else [V, z])
+            if V.shape[1] == limit:
+                break
+    return V
 
 
 def generalized_davidson(A, B, M=None, cfg=None, initial_space=None):
@@ -114,6 +114,7 @@ def generalized_davidson(A, B, M=None, cfg=None, initial_space=None):
     cfg = cfg or DavidsonConfig()
     n = A.shape[0]
     rng = np.random.default_rng(cfg.seed)
+    gaussian = (rng.standard_normal(n) for _ in itertools.count())  # fill candidates
     if M is None:
         M = lambda v: v
 
@@ -121,29 +122,11 @@ def generalized_davidson(A, B, M=None, cfg=None, initial_space=None):
     locked_vals = []
     locked_vecs = []
     lock_reasons = []
-    V = None
+    start = ()
     if initial_space is not None:
         S = np.atleast_2d(np.asarray(initial_space, dtype=float))
-        if S.shape[0] != n:
-            S = S.T
-        cols = []
-        for j in range(S.shape[1]):
-            z = b_orthonormalize(np.column_stack(cols) if cols else None,
-                                 S[:, j], B)
-            if z is not None:
-                cols.append(z)
-        if cols:
-            V = np.column_stack(cols)
-    if V is None or V.shape[1] < cfg.j_min:
-        extra = cfg.j_min - (0 if V is None else V.shape[1])
-        R = _random_b_basis(n, cfg.j_min, B, rng) if V is None else None
-        if V is None:
-            V = R
-        else:
-            for _ in range(extra):
-                z = b_orthonormalize(V, rng.standard_normal(n), B)
-                if z is not None:
-                    V = np.column_stack([V, z])
+        start = S.T if S.shape[0] == n else S
+    V = _b_basis(itertools.chain(start, gaussian), B, limit=cfg.j_min)
 
     it = 0
     prev_theta = None
@@ -164,35 +147,23 @@ def generalized_davidson(A, B, M=None, cfg=None, initial_space=None):
             lock_reasons.append("residual" if rel <= cfg.rtol_residual else "stall")
             prev_theta = None
             # remove the locked direction from the active basis
-            V = _reorthonormalize_against(V, locked_vecs, B)
-            if V is None or V.shape[1] == 0:
-                V = _random_b_basis(n, cfg.j_min, B, rng)
-                V = _reorthonormalize_against(V, locked_vecs, B)
+            V = _b_basis(V.T, B, locked_vecs)
+            if V is None:
+                V = _b_basis(gaussian, B, locked_vecs, cfg.j_min)
             continue
         prev_theta = th
         # restart: compress the active space to the leading j_min Ritz vectors
         if V.shape[1] >= cfg.j_max:
-            keep = []
-            for idx in range(theta.size):
-                z = _deflate(Q[:, idx], locked_vecs, B)
-                z = b_orthonormalize(np.column_stack(keep) if keep else None, z, B)
-                if z is not None:
-                    keep.append(z)
-                if len(keep) == cfg.j_min:
-                    break
-            V = np.column_stack(keep)
-        z = M(r)
-        z = _deflate(z, locked_vecs, B)
-        znew = b_orthonormalize(V, z, B)
-        if znew is None:
-            znew = b_orthonormalize(V, _deflate(rng.standard_normal(n), locked_vecs, B), B)
-        if znew is not None:
-            V = np.column_stack([V, znew])
+            V = _b_basis(Q.T, B, locked_vecs, cfg.j_min)
+        # expand by the preconditioned residual, or a random vector if it is
+        # already in the search space
+        V = _b_basis(itertools.chain([M(r)], gaussian), B, locked_vecs,
+                     limit=V.shape[1] + 1, V=V)
         it += 1
 
-    # final extraction: Ritz values over locked + active space
-    W = np.column_stack(locked_vecs + [V]) if locked_vecs else V
-    theta, Q = rayleigh_ritz(A, B, W)
+    # final extraction: Ritz pairs over the locked and active vectors, made
+    # B-orthonormal together first (deflation keeps them only nearly so)
+    theta, Q = rayleigh_ritz(A, B, _b_basis(itertools.chain(locked_vecs, V.T), B))
     k = min(cfg.n_modes, theta.size)
     vals = theta[:k]
     vecs = Q[:, :k]
@@ -201,31 +172,12 @@ def generalized_davidson(A, B, M=None, cfg=None, initial_space=None):
         / max(np.linalg.norm(A @ vecs[:, i]), 1e-300)
         for i in range(k)
     ])
-    converged = int(np.count_nonzero(res <= 2 * cfg.rtol_residual)) if it >= cfg.max_iterations \
-        else len(locked_vals)
-    converged = max(converged, min(len(locked_vals), k))
+    # a returned pair is converged if it is one of the locked modes, which
+    # lead the descending order, or its residual meets the tolerance
+    converged = (np.arange(k) < len(locked_vals)) | (res <= 2 * cfg.rtol_residual)
     return EigenResult(eigenvalues=vals, eigenvectors=vecs, iterations=it,
-                       converged_count=min(converged, k), residuals=res,
+                       converged_count=int(np.count_nonzero(converged)), residuals=res,
                        lock_reasons=lock_reasons)
-
-
-def _deflate(z, locked_vecs, B):
-    if not locked_vecs:
-        return z
-    L = np.column_stack(locked_vecs)
-    return z - L @ (L.T @ (B @ z))
-
-
-def _reorthonormalize_against(V, locked_vecs, B):
-    if V is None:
-        return None
-    cols = []
-    for j in range(V.shape[1]):
-        z = _deflate(V[:, j], locked_vecs, B)
-        z = b_orthonormalize(np.column_stack(cols) if cols else None, z, B)
-        if z is not None:
-            cols.append(z)
-    return np.column_stack(cols) if cols else None
 
 
 def _next_target(theta, Q, B, locked_vecs):

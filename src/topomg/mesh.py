@@ -4,6 +4,7 @@ Supports uniform Q4 (2D, plane stress) and Hex8 (3D) grids with lexicographic
 node numbering (x fastest). All assembled operators are scipy CSR matrices.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,14 +102,16 @@ class StructuredMesh:
         ]
         return np.stack(bottom + top, axis=1)
 
+    @functools.cache
     def element_dofs(self):
-        """(element_count, nodes*dofs_per_node) dof map per element."""
+        """(element_count, nodes*dofs_per_node) dof map per element, read-only
+        and computed once per mesh."""
         conn = self.element_nodes()
         dpn = self.dofs_per_node
         edof = np.empty((conn.shape[0], conn.shape[1] * dpn), dtype=np.int64)
         for c in range(dpn):
             edof[:, c::dpn] = dpn * conn + c
-        return edof
+        return _read_only(edof)
 
     def element_centroids(self):
         """(element_count, ndim) centroid positions."""
@@ -251,8 +254,17 @@ def _quadrature(mesh):
     return out
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
 def element_stiffness(mesh, E=1.0, nu=DEFAULT_NU):
-    """Element stiffness matrix (8x8 for Q4, 24x24 for Hex8) by Gauss quadrature."""
+    """Element stiffness matrix (8x8 for Q4, 24x24 for Hex8) by Gauss quadrature.
+
+    Cached per (mesh, E, nu); the returned array is read-only.
+    """
     if not (0 <= nu < 0.5):
         raise ValueError("nu must be in [0, 0.5)")
     if E <= 0:
@@ -264,9 +276,10 @@ def element_stiffness(mesh, E=1.0, nu=DEFAULT_NU):
     for w, grad in _quadrature(mesh):
         B = _b_matrix(ndim, grad)
         ke += w * (B.T @ D @ B)
-    return 0.5 * (ke + ke.T)
+    return _read_only(0.5 * (ke + ke.T))
 
 
+@functools.cache
 def geometric_stiffness_tensor(mesh, nu=DEFAULT_NU):
     """Third-order tensor G with G[k] the element stress stiffness for u_e = e_k.
 
@@ -274,6 +287,7 @@ def geometric_stiffness_tensor(mesh, nu=DEFAULT_NU):
     element displacements, so any state is recovered as einsum('k,kij->ij', u_e, G).
     The sign is chosen so that a compressive prestress produces positive
     eigenvalues of the buckling pencil (largest eigenvalue = 1/P_critical).
+    Cached per (mesh, nu); the returned array is read-only.
     """
     ndim = mesh.ndim
     D = _constitutive(ndim, 1.0, nu)
@@ -295,11 +309,15 @@ def geometric_stiffness_tensor(mesh, nu=DEFAULT_NU):
                 ])
             knode = grad.T @ S @ grad
             G[k] -= w * np.kron(knode, np.eye(ndim))
-    return G
+    return _read_only(G)
 
 
-def _scatter(mesh, ke_all):
-    """Assemble per-element dense matrices into a global CSR matrix."""
+def _scatter(mesh, ke_all, bc):
+    """Assemble per-element dense matrices into a global CSR matrix.
+
+    With bc, the rows and columns of its fixed dofs are zeroed and every
+    stored zero is dropped.
+    """
     edof = mesh.element_dofs()
     nd = edof.shape[1]
     rows = np.repeat(edof, nd, axis=1).ravel()
@@ -307,25 +325,16 @@ def _scatter(mesh, ke_all):
     n = mesh.total_dofs
     K = sp.coo_matrix((ke_all.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     K.sum_duplicates()
+    if bc is not None:
+        fixed = ~bc.free_mask
+        K.data[np.repeat(fixed, np.diff(K.indptr)) | fixed[K.indices]] = 0.0
+        K.eliminate_zeros()
     return K
 
 
-def apply_dirichlet(K, fixed_dofs):
-    """Symmetric elimination with unit diagonal: zero rows/cols, 1 on the diagonal."""
-    n = K.shape[0]
-    mask = np.ones(n)
-    mask[fixed_dofs] = 0.0
-    Z = sp.diags(mask)
-    Kbc = (Z @ K @ Z).tocsr()
-    ones = np.zeros(n)
-    ones[fixed_dofs] = 1.0
-    Kbc = (Kbc + sp.diags(ones)).tocsr()
-    Kbc.sum_duplicates()
-    return Kbc
-
-
-def assemble_stiffness(mesh, bc, element_moduli, nu=DEFAULT_NU):
-    """Global stiffness K(rho) with Dirichlet rows/columns eliminated.
+def assemble_stiffness(mesh, bc, element_moduli):
+    """Global stiffness K(rho) with Dirichlet rows/columns eliminated and a
+    unit diagonal on the fixed dofs.
 
     Pass bc=None to obtain the unconstrained (singular) operator.
     """
@@ -334,36 +343,25 @@ def assemble_stiffness(mesh, bc, element_moduli, nu=DEFAULT_NU):
         raise ValueError("element_moduli must have one entry per element")
     if np.any(element_moduli <= 0):
         raise ValueError("element moduli must be positive")
-    ke = element_stiffness(mesh, 1.0, nu)
-    ke_all = element_moduli[:, None, None] * ke[None, :, :]
-    K = _scatter(mesh, ke_all)
+    ke_all = element_moduli[:, None, None] * element_stiffness(mesh, 1.0)[None, :, :]
+    K = _scatter(mesh, ke_all, bc)
     if bc is not None:
-        K = apply_dirichlet(K, bc.fixed_dofs)
+        K = (K + sp.diags((~bc.free_mask).astype(float))).tocsr()
+        K.sum_duplicates()
     return K
 
 
-def assemble_stress_stiffness(mesh, bc, u, element_sigma_moduli, nu=DEFAULT_NU,
-                              tensor=None):
-    """Global stress stiffness K_sigma at the stress state induced by u.
-
-    Linear in u; pass a precomputed geometric_stiffness_tensor to amortize setup.
-    """
+def assemble_stress_stiffness(mesh, bc, u, element_sigma_moduli):
+    """Global stress stiffness K_sigma at the stress state induced by u (linear
+    in u), with Dirichlet rows/columns zeroed."""
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.total_dofs,):
         raise ValueError("u must have one entry per dof")
     moduli = np.asarray(element_sigma_moduli, dtype=float)
-    if tensor is None:
-        tensor = geometric_stiffness_tensor(mesh, nu)
-    edof = mesh.element_dofs()
-    ue = u[edof]
-    ke_all = np.einsum("ek,kij->eij", ue, tensor) * moduli[:, None, None]
-    Ks = _scatter(mesh, ke_all)
-    if bc is not None:
-        mask = np.ones(mesh.total_dofs)
-        mask[bc.fixed_dofs] = 0.0
-        Z = sp.diags(mask)
-        Ks = (Z @ Ks @ Z).tocsr()
-    return Ks
+    ue = u[mesh.element_dofs()]
+    ke_all = np.einsum("ek,kij->eij", ue, geometric_stiffness_tensor(mesh)) \
+        * moduli[:, None, None]
+    return _scatter(mesh, ke_all, bc)
 
 
 def build_filter(mesh, radius=1.5):

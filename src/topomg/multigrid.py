@@ -209,8 +209,6 @@ class MgHierarchy:
 
     levels: list
     coarse_solve: object
-    n_pre: int = 1
-    n_post: int = 1
     flags: list = field(default_factory=list)
     smoother_config: SmootherConfig | None = None
 
@@ -227,16 +225,17 @@ class MgHierarchy:
         return self.smoother_config is None or self.smoother_config.stationary
 
     def vcycle(self, b, k=0):
-        """One V-cycle on level k with a zero initial guess."""
+        """One V-cycle on level k with a zero initial guess: one pre- and one
+        post-smoothing pass around the coarse correction."""
         if not (0 <= k < self.n_levels):
             raise IndexError("level index out of range")
         lvl = self.levels[k]
         if lvl.P is None:  # coarsest: direct solve
             return self.coarse_solve(b)
-        x = lvl.smoother.apply(np.zeros_like(b), b, self.n_pre)
+        x = lvl.smoother.apply(np.zeros_like(b), b, 1)
         r = b - lvl.A @ x
         x = x + lvl.P @ self.vcycle(lvl.P.T @ r, k + 1)
-        x = lvl.smoother.apply(x, b, self.n_post)
+        x = lvl.smoother.apply(x, b, 1)
         return x
 
     def apply(self, b):
@@ -303,9 +302,9 @@ def geometric_prolongation(fine_dims, dofs_per_node):
     return sp.kron(Pn, sp.identity(dofs_per_node), format="csr")
 
 
-def build_gmg(mesh, K, coarse_max_dofs, smoother=None, n_pre=1, n_post=1):
+def build_gmg(mesh, K, coarse_max_dofs, smoother=None):
     """Geometric hierarchy: bilinear/trilinear transfers, Galerkin coarse ops."""
-    return build_hybrid(mesh, K, None, None, coarse_max_dofs, smoother, n_pre, n_post)
+    return build_hybrid(mesh, K, None, None, coarse_max_dofs, smoother)
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +528,9 @@ def _sa_levels(A, near_nullspace, coarse_max_dofs, smoother, block_size, flags,
     return levels
 
 
-def build_sa_amg(K, near_nullspace, coarse_max_dofs, smoother=None,
-                 n_pre=1, n_post=1, seed=0):
+def build_sa_amg(K, near_nullspace, coarse_max_dofs, smoother=None, seed=0):
     """Smoothed-aggregation hierarchy from the operator and candidate vectors."""
-    return build_hybrid(None, K, near_nullspace, 0, coarse_max_dofs, smoother,
-                        n_pre, n_post, seed)
+    return build_hybrid(None, K, near_nullspace, 0, coarse_max_dofs, smoother, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +538,7 @@ def build_sa_amg(K, near_nullspace, coarse_max_dofs, smoother=None,
 # ---------------------------------------------------------------------------
 
 def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
-                 n_pre=1, n_post=1, seed=0):
+                 seed=0):
     """Geometric transfers on the finest n_geo levels, smoothed aggregation below.
 
     n_geo=0 is pure SA-AMG, the only case that reads `near_nullspace` (and
@@ -583,8 +580,8 @@ def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
         levels += _sa_levels(A, B, coarse_max_dofs, smoother, block_size, flags,
                              seed=seed)
     lu = spla.splu(levels[-1].A.tocsc())
-    return MgHierarchy(levels=levels, coarse_solve=lu.solve, n_pre=n_pre,
-                       n_post=n_post, flags=flags, smoother_config=smoother)
+    return MgHierarchy(levels=levels, coarse_solve=lu.solve, flags=flags,
+                       smoother_config=smoother)
 
 
 # ---------------------------------------------------------------------------

@@ -116,12 +116,10 @@ class SolverHarness:
 # objective and sensitivities
 # ---------------------------------------------------------------------------
 
-def element_strain_energies(mesh, u, ke=None):
+def element_strain_energies(mesh, u):
     """Per-element u_e^T k_hat u_e with k_hat the unit-modulus element matrix."""
-    if ke is None:
-        ke = element_stiffness(mesh, 1.0)
     ue = u[mesh.element_dofs()]
-    return np.einsum("ei,ij,ej->e", ue, ke, ue)
+    return np.einsum("ei,ij,ej->e", ue, element_stiffness(mesh, 1.0), ue)
 
 
 def compliance_and_sensitivity(mesh, bc, filt, law, alpha, harness, u0=None):
@@ -142,13 +140,11 @@ def compliance_and_sensitivity(mesh, bc, filt, law, alpha, harness, u0=None):
     return F, dF_dalpha, aux
 
 
-def adjoint_rhs(mesh, u, phi, element_sigma_moduli, tensor=None, fixed_dofs=None):
+def adjoint_rhs(mesh, u, phi, element_sigma_moduli, fixed_dofs=None):
     """Right-hand side Phi^T (dK_sigma/du) Phi of the eigen-adjoint equation."""
-    if tensor is None:
-        tensor = geometric_stiffness_tensor(mesh)
     edof = mesh.element_dofs()
     phie = phi[edof]
-    ge = np.einsum("kij,ei,ej->ek", tensor, phie, phie)
+    ge = np.einsum("kij,ei,ej->ek", geometric_stiffness_tensor(mesh), phie, phie)
     ge *= np.asarray(element_sigma_moduli, dtype=float)[:, None]
     rhs = np.zeros(mesh.total_dofs)
     np.add.at(rhs, edof.ravel(), ge.ravel())
@@ -157,13 +153,10 @@ def adjoint_rhs(mesh, u, phi, element_sigma_moduli, tensor=None, fixed_dofs=None
     return rhs
 
 
-def eigenvalue_sensitivity(mesh, bc, law, stress_law, rho, u, lam, phi, v,
-                           ke=None, tensor=None):
+def eigenvalue_sensitivity(mesh, bc, law, stress_law, rho, u, lam, phi, v):
     """d(lambda)/d(rho) for one K-normalized buckling mode, adjoint term included."""
-    if ke is None:
-        ke = element_stiffness(mesh, 1.0)
-    if tensor is None:
-        tensor = geometric_stiffness_tensor(mesh)
+    ke = element_stiffness(mesh, 1.0)
+    tensor = geometric_stiffness_tensor(mesh)
     edof = mesh.element_dofs()
     ue = u[edof]
     phie = phi[edof]
@@ -197,26 +190,24 @@ def stability_objective_and_sensitivity(mesh, bc, filt, law, stress_law, alpha,
     K = assemble_stiffness(mesh, bc, E)
     u, rec, hierarchy = harness.solve(K, bc.load_vector, u0)
     _check_converged("displacement solve", rec)
-    tensor = geometric_stiffness_tensor(mesh)
-    Ks = assemble_stress_stiffness(mesh, bc, u, Es, tensor=tensor)
+    Ks = assemble_stress_stiffness(mesh, bc, u, Es)
     t_eig = time.perf_counter()
     eig = generalized_davidson(Ks, K, hierarchy.apply if hierarchy else None,
                                eig_cfg, initial_space)
     t_eig = time.perf_counter() - t_eig
     _check_converged("eigensolve", eig, eig_cfg.n_modes)
     n_used = eig.eigenvalues.size
-    ke = element_stiffness(mesh, 1.0)
     dlam = np.zeros((n_used, mesh.element_count))
     adjoint_iters = 0
     t_adj = time.perf_counter()
     for i in range(n_used):
         phi = eig.eigenvectors[:, i]
-        rhs = adjoint_rhs(mesh, u, phi, Es, tensor, bc.fixed_dofs)
+        rhs = adjoint_rhs(mesh, u, phi, Es, bc.fixed_dofs)
         v, arec, _ = harness.solve(K, rhs, x0=None, hierarchy=hierarchy)
         _check_converged("adjoint solve %d" % i, arec)
         adjoint_iters += arec.iterations
         dlam[i] = eigenvalue_sensitivity(mesh, bc, law, stress_law, rho, u,
-                                         eig.eigenvalues[i], phi, v, ke, tensor)
+                                         eig.eigenvalues[i], phi, v)
     t_adj = time.perf_counter() - t_adj
     lams = eig.eigenvalues
     F = pnorm_aggregate(lams, p_norm)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from topomg.mesh import (BoundaryConditions, apply_dirichlet, assemble_stiffness,
+from topomg.mesh import (BoundaryConditions, assemble_stiffness,
                          assemble_stress_stiffness, build_filter, build_mesh,
                          element_stiffness, geometric_stiffness_tensor,
                          rigid_body_modes)

@@ -153,6 +153,46 @@ def test_stability_nonconvergence_raises(max_iterations, eig_iterations, exact_s
         assert isinstance(record, SolveRecord) and not record.converged
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_stability_continuation_eigenpairs_correct_or_raise(seed):
+    """Every step of a seeded column continuation returns the pencil's leading
+    eigenpairs, B-orthonormal, or raises SolveFailed; never wrong pairs
+    counted as converged. On seeds 2, 6, 9 and 10 the locked and active
+    vectors at the final extraction are nearly dependent in the K inner
+    product; a Rayleigh-Ritz over them as they stand is up to 60 % off."""
+    mesh, bc = column_problem((8, 32))
+    harness = SolverHarness(mesh=mesh, strategy="amg", coarse_max_dofs=200,
+                            solve_cfg=SolveConfig(rtol=1e-8), fixed_dofs=bc.fixed_dofs,
+                            seed=seed)
+    problem = OptimizationProblem(
+        mesh=mesh, bc=bc, filt=build_filter(mesh, 1.5),
+        schedule=PenaltySchedule(start=1.0, stop=2.0, increment=0.5, steps_per_value=1),
+        volume_fraction=0.4, harness=harness, mode="stability",
+        eig_cfg=DavidsonConfig(n_modes=6, seed=seed))
+    free = bc.free_mask
+    steps = []
+
+    def check(step, state, aux):
+        K, Ks, eig = aux["K"], aux["Ks"], aux["eig"]
+        lam, phi = eig.eigenvalues, eig.eigenvectors
+        exact = scipy.linalg.eigh(Ks.toarray()[np.ix_(free, free)],
+                                  K.toarray()[np.ix_(free, free)], eigvals_only=True)
+        assert np.allclose(lam, exact[::-1][:6], rtol=1e-6, atol=0.0)
+        assert np.abs(phi.T @ (K @ phi) - np.eye(6)).max() <= 1e-8
+        KsPhi = Ks @ phi
+        res = np.linalg.norm(KsPhi - (K @ phi) * lam, axis=0) / np.linalg.norm(KsPhi, axis=0)
+        assert res.max() <= 1e-3
+        assert eig.converged_count == 6
+        steps.append(step)
+
+    try:
+        run_optimization(problem, check)
+    except SolveFailed as exc:
+        assert isinstance(exc.record, (SolveRecord, EigenResult))
+    else:
+        assert steps == [0, 1, 2]
+
+
 # ---------------------------------------------------------------------------
 # adjoint rhs
 # ---------------------------------------------------------------------------
