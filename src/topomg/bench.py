@@ -21,9 +21,9 @@ from .multigrid import SmootherConfig
 from .optimization import OptimizationProblem, SolverHarness, run_optimization
 
 CSV_HEADER = ("step,penalty,strategy,levels,n_geo,setup_s,solve_s,solve_iters,"
-              "eig_s,eig_iters,adjoint_s,adjoint_iters,objective,volume")
+              "eig_s,eig_iters,adjoint_s,adjoint_iters,objective,volume,flags")
 
-GRID_CSV_HEADER = "pitch_x,pitch_y,strategy,iterations,setup_s,solve_s"
+GRID_CSV_HEADER = "pitch_x,pitch_y,strategy,iterations,setup_s,solve_s,converged,flags"
 
 VOID_DENSITY = 1e-10
 
@@ -306,6 +306,17 @@ def _fmt(v):
     return str(v)
 
 
+def grid_csv_row(result):
+    """The GRID_CSV_HEADER line of one `run_grid_point` result; flags are the
+    hierarchy's, joined by ';'."""
+    hierarchy = result["hierarchy"]
+    flags = ";".join(hierarchy.flags) if hierarchy is not None else ""
+    return "%d,%d,%s,%d,%.6f,%.6f,%s,%s" % (
+        result["pitch_x"], result["pitch_y"], result["strategy"],
+        result["iterations"], result["setup_s"], result["solve_s"],
+        result["converged"], flags)
+
+
 def write_iteration_csv(path, history):
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
@@ -380,9 +391,7 @@ def _run_grid_diagnostic(cfg):
     with open(path, "w", newline="") as fh:
         fh.write(GRID_CSV_HEADER + "\n")
         for r in rows:
-            fh.write("%d,%d,%s,%d,%.6f,%.6f\n" % (
-                r["pitch_x"], r["pitch_y"], r["strategy"], r["iterations"],
-                r["setup_s"], r["solve_s"]))
+            fh.write(grid_csv_row(r) + "\n")
     summary_path = os.path.join(cfg.output_dir, "hierarchy_summary.json")
     with open(summary_path, "w") as fh:
         json.dump(rows[-1]["hierarchy"].summary(), fh, indent=2)

@@ -64,9 +64,7 @@ def _cmd_grid(args):
         print("grid solve failed: %s" % exc, file=sys.stderr)
         return 2
     print(bench.GRID_CSV_HEADER)
-    print("%d,%d,%s,%d,%.6f,%.6f" % (
-        result["pitch_x"], result["pitch_y"], result["strategy"],
-        result["iterations"], result["setup_s"], result["solve_s"]))
+    print(bench.grid_csv_row(result))
     if not result["converged"]:
         print("solver did not converge", file=sys.stderr)
         return 2

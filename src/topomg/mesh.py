@@ -113,6 +113,25 @@ class StructuredMesh:
             edof[:, c::dpn] = dpn * conn + c
         return _read_only(edof)
 
+    @functools.cache
+    def block_pattern(self):
+        """Node-block sparsity of the assembled operators, read-only int32 and
+        computed once per mesh.
+
+        Returns (indptr, indices, slots): the CSR pattern of the node graph
+        (nodes i and j couple when they share an element, i == j included)
+        and slots[e, a, b], the position in `indices` of the block that
+        couples local nodes a and b of element e.
+        """
+        conn = self.element_nodes()
+        n = self.node_count
+        pairs = conn[:, :, None] * n + conn[:, None, :]
+        keys, slots = np.unique(pairs.ravel(), return_inverse=True)
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+        indices = (keys % n).astype(np.int32)
+        return (_read_only(indptr), _read_only(indices),
+                _read_only(slots.astype(np.int32).reshape(pairs.shape)))
+
     def element_centroids(self):
         """(element_count, ndim) centroid positions."""
         axes = [(np.arange(d) + 0.5) * h for d, h in zip(self.dims, self.element_size)]
@@ -312,19 +331,29 @@ def geometric_stiffness_tensor(mesh, nu=DEFAULT_NU):
     return _read_only(G)
 
 
-def _scatter(mesh, ke_all, bc):
-    """Assemble per-element dense matrices into a global CSR matrix.
+def _scatter(mesh, moduli, ke, bc):
+    """Assemble moduli[e] * ke[e] into a global CSR matrix, where ke is one
+    element matrix shared by all elements or one per element.
 
+    Each of the dofs_per_node**2 components of the node blocks is summed
+    into the mesh's cached `block_pattern` by one bincount over its slots, so
+    a call builds no dof index arrays and, for a shared ke, no per-element
+    matrix stack. The returned matrix owns its arrays and has sorted indices.
     With bc, the rows and columns of its fixed dofs are zeroed and every
     stored zero is dropped.
     """
-    edof = mesh.element_dofs()
-    nd = edof.shape[1]
-    rows = np.repeat(edof, nd, axis=1).ravel()
-    cols = np.tile(edof, (1, nd)).ravel()
+    indptr, indices, slots = mesh.block_pattern()
+    dpn = mesh.dofs_per_node
+    k = slots.shape[1]
+    ke = ke.reshape(ke.shape[:-2] + (k, dpn, k, dpn))
+    blocks = np.empty((dpn, dpn, indices.size))
+    for c in range(dpn):
+        for d in range(dpn):
+            w = moduli[:, None, None] * ke[..., c, :, d]
+            blocks[c, d] = np.bincount(slots.ravel(), w.ravel(), indices.size)
     n = mesh.total_dofs
-    K = sp.coo_matrix((ke_all.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    K.sum_duplicates()
+    blocks = blocks.transpose(2, 0, 1)
+    K = sp.bsr_matrix((blocks, indices, indptr), shape=(n, n)).tocsr()
     if bc is not None:
         fixed = ~bc.free_mask
         K.data[np.repeat(fixed, np.diff(K.indptr)) | fixed[K.indices]] = 0.0
@@ -343,8 +372,7 @@ def assemble_stiffness(mesh, bc, element_moduli):
         raise ValueError("element_moduli must have one entry per element")
     if np.any(element_moduli <= 0):
         raise ValueError("element moduli must be positive")
-    ke_all = element_moduli[:, None, None] * element_stiffness(mesh, 1.0)[None, :, :]
-    K = _scatter(mesh, ke_all, bc)
+    K = _scatter(mesh, element_moduli, element_stiffness(mesh, 1.0), bc)
     if bc is not None:
         K = (K + sp.diags((~bc.free_mask).astype(float))).tocsr()
         K.sum_duplicates()
@@ -359,9 +387,8 @@ def assemble_stress_stiffness(mesh, bc, u, element_sigma_moduli):
         raise ValueError("u must have one entry per dof")
     moduli = np.asarray(element_sigma_moduli, dtype=float)
     ue = u[mesh.element_dofs()]
-    ke_all = np.einsum("ek,kij->eij", ue, geometric_stiffness_tensor(mesh)) \
-        * moduli[:, None, None]
-    return _scatter(mesh, ke_all, bc)
+    ke = np.einsum("ek,kij->eij", ue, geometric_stiffness_tensor(mesh))
+    return _scatter(mesh, moduli, ke, bc)
 
 
 def build_filter(mesh, radius=1.5):

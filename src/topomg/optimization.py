@@ -389,6 +389,7 @@ def run_optimization(problem, callback=None):
             "adjoint_iters": aux.get("adjoint_iterations", ""),
             "objective": F,
             "volume": vol,
+            "flags": ";".join(hier.flags) if hier is not None else "",
         }
         history.append(row)
         if callback is not None:

@@ -130,6 +130,7 @@ def test_run_benchmark_outputs(tmp_path):
     # compliance rows leave the eigen/adjoint columns empty
     row = lines[1].split(",")
     assert row[8] == "" and row[9] == ""
+    assert row[-1] == "isolated_nodes"  # hierarchy flags, ';'-joined
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["problem"] == "cantilever2d"
     rho = np.fromfile(out / "density.bin")
@@ -179,7 +180,10 @@ def test_grid_diagnostic_csv(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     assert set(rows[0]) == {"pitch_x", "pitch_y", "strategy", "iterations",
-                            "setup_s", "solve_s"}
+                            "setup_s", "solve_s", "converged", "flags"}
+    assert all(r["converged"] == "True" for r in rows)
+    # the Dirichlet rows are isolated nodes of the AMG strength graph
+    assert all("isolated_nodes" in r["flags"].split(";") for r in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,15 @@ def q4_geometric_stiffness_oracle(ue, E, nu):
     return Kg
 
 
-def dense_scatter_oracle(mesh, moduli, nu=0.3):
-    """Assemble the global matrix by an explicit per-element double loop."""
-    ke = element_stiffness(mesh, 1.0, nu)
+def dense_scatter_oracle(mesh, moduli, nu=0.3, ke=None, bc=None, unit_diagonal=True):
+    """Assemble the global matrix by an explicit per-element double loop.
+
+    ke is one element matrix per element (default: the unit stiffness for
+    every element). With bc, the fixed rows and columns are zeroed and, for
+    unit_diagonal, their diagonal entries set to 1.
+    """
+    if ke is None:
+        ke = [element_stiffness(mesh, 1.0, nu)] * mesh.element_count
     n = mesh.total_dofs
     K = np.zeros((n, n))
     edof = mesh.element_dofs()
@@ -74,7 +80,12 @@ def dense_scatter_oracle(mesh, moduli, nu=0.3):
         d = edof[e]
         for a in range(d.size):
             for b in range(d.size):
-                K[d[a], d[b]] += moduli[e] * ke[a, b]
+                K[d[a], d[b]] += moduli[e] * ke[e][a, b]
+    if bc is not None:
+        fixed = bc.fixed_dofs
+        K[fixed, :] = 0.0
+        K[:, fixed] = 0.0
+        K[fixed, fixed] = 1.0 if unit_diagonal else 0.0
     return K
 
 
@@ -228,6 +239,71 @@ def test_assembly_permutation_consistent():
         d = edof[e]
         Kr[np.ix_(d, d)] += moduli[e] * ke
     assert np.max(np.abs(K - Kr)) <= 1e-14 * np.max(np.abs(K))
+
+
+# a 3D mesh and a non-square 2D mesh with non-square elements
+ORACLE_MESHES = [((3, 2, 2), (1.0, 1.0, 1.0)), ((5, 3), (0.5, 1.25))]
+
+
+def oracle_case(dims, size, seed):
+    """Mesh, bc fixing every dof of the x=0 nodes, random moduli and a random
+    displacement."""
+    m = build_mesh(dims, size)
+    dpn = m.dofs_per_node
+    left = np.flatnonzero(m.node_coordinates()[:, 0] == 0.0)
+    bc = BoundaryConditions((left[:, None] * dpn + np.arange(dpn)).ravel(),
+                            np.zeros(m.total_dofs))
+    rng = np.random.default_rng(seed)
+    return (m, bc, rng.uniform(0.1, 1.0, m.element_count),
+            rng.standard_normal(m.total_dofs))
+
+
+@pytest.mark.parametrize("dims, size", ORACLE_MESHES)
+@pytest.mark.parametrize("with_bc", [False, True])
+def test_assembly_matches_dense_scatter(dims, size, with_bc):
+    m, bc, moduli, _ = oracle_case(dims, size, 7)
+    bc = bc if with_bc else None
+    K = assemble_stiffness(m, bc, moduli).toarray()
+    expected = dense_scatter_oracle(m, moduli, bc=bc)
+    assert np.max(np.abs(K - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("dims, size", ORACLE_MESHES)
+@pytest.mark.parametrize("with_bc", [False, True])
+def test_stress_assembly_matches_dense_scatter(dims, size, with_bc):
+    m, bc, moduli, u = oracle_case(dims, size, 8)
+    bc = bc if with_bc else None
+    Ks = assemble_stress_stiffness(m, bc, u, moduli).toarray()
+    G = geometric_stiffness_tensor(m)
+    ke = [np.einsum("k,kij->ij", u[d], G) for d in m.element_dofs()]
+    expected = dense_scatter_oracle(m, moduli, ke=ke, bc=bc, unit_diagonal=False)
+    assert np.max(np.abs(Ks - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("dims, size", ORACLE_MESHES)
+def test_assembled_csr_is_canonical(dims, size):
+    m, bc, moduli, u = oracle_case(dims, size, 9)
+    for A in (assemble_stiffness(m, None, moduli), assemble_stiffness(m, bc, moduli),
+              assemble_stress_stiffness(m, bc, u, moduli)):
+        assert A.format == "csr"
+        for i in range(A.shape[0]):
+            cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
+            assert np.all(np.diff(cols) > 0)  # sorted, no duplicates
+
+
+@pytest.mark.parametrize("with_bc", [False, True])
+def test_assembly_returns_independent_arrays(with_bc):
+    m, bc, moduli, u = oracle_case(*ORACLE_MESHES[0], 10)
+    bc = bc if with_bc else None
+    for assemble in (lambda: assemble_stiffness(m, bc, moduli),
+                     lambda: assemble_stress_stiffness(m, bc, u, moduli)):
+        first = assemble()
+        expected = first.toarray()
+        first.data[:] = -1.0
+        first.indices[:] = 0
+        second = assemble()
+        assert np.array_equal(second.toarray(), expected)
+    assert not any(a.flags.writeable for a in m.block_pattern())
 
 
 def test_boundary_conditions_zero_load_on_fixed():

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from topomg.bench import column_problem
+from topomg.bench import cantilever3d_problem, column_problem
 from topomg.eigensolver import DavidsonConfig, EigenResult
 from topomg.krylov import SolveConfig, SolveRecord
 from topomg.material import PenaltySchedule, SimpLaw, StressSimpLaw
@@ -122,6 +122,23 @@ def test_compliance_nonconvergence_raises():
     with pytest.raises(RuntimeError):
         compliance_and_sensitivity(mesh, bc, filt, SimpLaw(),
                                    np.full(mesh.element_count, 0.5), harness)
+
+
+def test_cantilever3d_hybrid_compliance_step_matches_direct_solve():
+    mesh, bc = cantilever3d_problem((8, 4, 4))
+    filt = build_filter(mesh, 1.5)
+    rtol = 1e-8
+    harness = SolverHarness(mesh=mesh, strategy="hybrid", n_geo=1, coarse_max_dofs=50,
+                            solve_cfg=SolveConfig(rtol=rtol, max_iterations=200),
+                            fixed_dofs=bc.fixed_dofs)
+    alpha = np.random.default_rng(0).uniform(0.05, 1.0, mesh.element_count)
+    F, _, aux = compliance_and_sensitivity(mesh, bc, filt, SimpLaw(penalty=3.0),
+                                           alpha, harness)
+    kinds = [lv["provenance"] for lv in aux["hierarchy"].summary()]
+    assert kinds == ["geometric", "algebraic", "algebraic"]
+    K, u, f = aux["K"], aux["u"], bc.load_vector
+    assert np.linalg.norm(f - K @ u) <= rtol * np.linalg.norm(f)
+    assert F == pytest.approx(float(f @ spla.spsolve(K.tocsc(), f)), rel=1e-6)
 
 
 @pytest.mark.parametrize("max_iterations, eig_iterations, exact_start, failing", [
