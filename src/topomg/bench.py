@@ -392,10 +392,15 @@ def _run_grid_diagnostic(cfg):
         fh.write(GRID_CSV_HEADER + "\n")
         for r in rows:
             fh.write(grid_csv_row(r) + "\n")
-    summary_path = os.path.join(cfg.output_dir, "hierarchy_summary.json")
-    with open(summary_path, "w") as fh:
-        json.dump(rows[-1]["hierarchy"].summary(), fh, indent=2)
-    return [path, summary_path]
+    return [path, _write_hierarchy_summary(cfg.output_dir, rows[-1]["hierarchy"])]
+
+
+def _write_hierarchy_summary(output_dir, hierarchy):
+    """Write hierarchy.summary() to hierarchy_summary.json; returns its path."""
+    path = os.path.join(output_dir, "hierarchy_summary.json")
+    with open(path, "w") as fh:
+        json.dump(hierarchy.summary(), fh, indent=2)
+    return path
 
 
 def _run_optimization_benchmark(cfg):
@@ -420,10 +425,7 @@ def _run_optimization_benchmark(cfg):
                os.path.join(cfg.output_dir, "density.bin"),
                os.path.join(cfg.output_dir, "density.vtk")]
     if last_hierarchy and last_hierarchy[0] is not None:
-        summary_path = os.path.join(cfg.output_dir, "hierarchy_summary.json")
-        with open(summary_path, "w") as fh:
-            json.dump(last_hierarchy[0].summary(), fh, indent=2)
-        written.append(summary_path)
+        written.append(_write_hierarchy_summary(cfg.output_dir, last_hierarchy[0]))
     return written
 
 

@@ -5,12 +5,28 @@ node numbering (x fastest). All assembled operators are scipy CSR matrices.
 """
 
 import functools
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 DEFAULT_NU = 0.3
+
+# Local node order as corner offsets: counterclockwise, bottom face first.
+_CORNERS = {
+    2: np.array([[0, 0], [1, 0], [1, 1], [0, 1]]),
+    3: np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
+                 [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]]),
+}
+# Voigt shear components: strain row ndim + r pairs the axes _SHEAR[ndim][r].
+_SHEAR = {2: [(0, 1)], 3: [(0, 1), (1, 2), (0, 2)]}
+
+
+def _lattice(counts):
+    """(prod(counts), len(counts)) integer grid points, x varying fastest."""
+    grids = np.meshgrid(*[np.arange(c) for c in counts], indexing="ij")
+    return np.stack([g.ravel(order="F") for g in grids], axis=1)
 
 
 @dataclass(frozen=True)
@@ -58,49 +74,20 @@ class StructuredMesh:
 
     def node_coordinates(self):
         """(node_count, ndim) array of physical node positions."""
-        axes = [np.arange(d + 1) * h for d, h in zip(self.dims, self.element_size)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        # lexicographic with x fastest: flatten in Fortran order over (x, y[, z])
-        return np.stack([g.ravel(order="F") for g in grids], axis=1)
+        return _lattice([d + 1 for d in self.dims]) * np.array(self.element_size)
 
     def node_index(self, *ijk):
         """Node index from integer grid coordinates."""
-        if self.ndim == 2:
-            i, j = ijk
-            return i + j * (self.dims[0] + 1)
-        i, j, k = ijk
-        return i + (self.dims[0] + 1) * (j + (self.dims[1] + 1) * k)
+        index, stride = 0, 1
+        for c, d in zip(ijk, self.dims):
+            index = index + c * stride
+            stride *= d + 1
+        return index
 
     def element_nodes(self):
-        """(element_count, 4 or 8) connectivity in local node ordering."""
-        if self.ndim == 2:
-            nx, ny = self.dims
-            i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-            i = i.ravel(order="F")
-            j = j.ravel(order="F")
-            n0 = self.node_index(i, j)
-            n1 = self.node_index(i + 1, j)
-            n2 = self.node_index(i + 1, j + 1)
-            n3 = self.node_index(i, j + 1)
-            return np.stack([n0, n1, n2, n3], axis=1)
-        nx, ny, nz = self.dims
-        i, j, k = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
-        i = i.ravel(order="F")
-        j = j.ravel(order="F")
-        k = k.ravel(order="F")
-        bottom = [
-            self.node_index(i, j, k),
-            self.node_index(i + 1, j, k),
-            self.node_index(i + 1, j + 1, k),
-            self.node_index(i, j + 1, k),
-        ]
-        top = [
-            self.node_index(i, j, k + 1),
-            self.node_index(i + 1, j, k + 1),
-            self.node_index(i + 1, j + 1, k + 1),
-            self.node_index(i, j + 1, k + 1),
-        ]
-        return np.stack(bottom + top, axis=1)
+        """(element_count, 2**ndim) connectivity in local node ordering."""
+        origins = self.node_index(*_lattice(self.dims).T)
+        return origins[:, None] + self.node_index(*_CORNERS[self.ndim].T)
 
     @functools.cache
     def element_dofs(self):
@@ -134,9 +121,7 @@ class StructuredMesh:
 
     def element_centroids(self):
         """(element_count, ndim) centroid positions."""
-        axes = [(np.arange(d) + 0.5) * h for d, h in zip(self.dims, self.element_size)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel(order="F") for g in grids], axis=1)
+        return (_lattice(self.dims) + 0.5) * np.array(self.element_size)
 
 
 @dataclass
@@ -181,33 +166,15 @@ def build_mesh(dims, element_size=None):
     return StructuredMesh(tuple(dims), tuple(element_size))
 
 
-def _gauss_points_1d():
-    g = 1.0 / np.sqrt(3.0)
-    return np.array([-g, g]), np.array([1.0, 1.0])
-
-
-def _shape_gradients(mesh_ndim, xi):
-    """Shape values N and natural-coordinate gradients dN at point xi."""
-    if mesh_ndim == 2:
-        s, t = xi
-        N = 0.25 * np.array([(1 - s) * (1 - t), (1 + s) * (1 - t),
-                             (1 + s) * (1 + t), (1 - s) * (1 + t)])
-        dN = 0.25 * np.array([
-            [-(1 - t), (1 - t), (1 + t), -(1 + t)],
-            [-(1 - s), -(1 + s), (1 + s), (1 - s)],
-        ])
-        return N, dN
-    s, t, u = xi
-    sgn_s = np.array([-1, 1, 1, -1, -1, 1, 1, -1])
-    sgn_t = np.array([-1, -1, 1, 1, -1, -1, 1, 1])
-    sgn_u = np.array([-1, -1, -1, -1, 1, 1, 1, 1])
-    N = 0.125 * (1 + sgn_s * s) * (1 + sgn_t * t) * (1 + sgn_u * u)
-    dN = 0.125 * np.array([
-        sgn_s * (1 + sgn_t * t) * (1 + sgn_u * u),
-        sgn_t * (1 + sgn_s * s) * (1 + sgn_u * u),
-        sgn_u * (1 + sgn_s * s) * (1 + sgn_t * t),
-    ])
-    return N, dN
+def _shape_gradients(ndim, xi):
+    """Natural-coordinate gradients dN (ndim, 2**ndim) at point xi of the
+    multilinear shape functions N_n = prod_a (1 + sgn[n, a] xi[a]) / 2**ndim,
+    where sgn = 2 * _CORNERS[ndim] - 1 are the corner signs."""
+    sgn = 2 * _CORNERS[ndim] - 1
+    lin = 1 + sgn * np.asarray(xi)
+    dN = np.array([sgn[:, a] * np.prod(np.delete(lin, a, axis=1), axis=1)
+                   for a in range(ndim)])
+    return dN / 2 ** ndim
 
 
 def _constitutive(ndim, E, nu):
@@ -228,49 +195,27 @@ def _constitutive(ndim, E, nu):
 
 
 def _b_matrix(ndim, grad):
-    """Strain-displacement matrix from physical shape gradients (ndim, nn)."""
+    """Strain-displacement matrix from physical shape gradients (ndim, nn):
+    the normal strains, then one row per _SHEAR pair."""
     nn = grad.shape[1]
-    if ndim == 2:
-        B = np.zeros((3, 2 * nn))
-        B[0, 0::2] = grad[0]
-        B[1, 1::2] = grad[1]
-        B[2, 0::2] = grad[1]
-        B[2, 1::2] = grad[0]
-        return B
-    B = np.zeros((6, 3 * nn))
-    B[0, 0::3] = grad[0]
-    B[1, 1::3] = grad[1]
-    B[2, 2::3] = grad[2]
-    B[3, 0::3] = grad[1]
-    B[3, 1::3] = grad[0]
-    B[4, 1::3] = grad[2]
-    B[4, 2::3] = grad[1]
-    B[5, 0::3] = grad[2]
-    B[5, 2::3] = grad[0]
+    B = np.zeros((ndim + len(_SHEAR[ndim]), ndim * nn))
+    for a in range(ndim):
+        B[a, a::ndim] = grad[a]
+    for r, (a, b) in enumerate(_SHEAR[ndim], start=ndim):
+        B[r, a::ndim] = grad[b]
+        B[r, b::ndim] = grad[a]
     return B
 
 
 def _quadrature(mesh):
-    """Iterate (weight*detJ, physical gradients) over the element Gauss points."""
+    """(detJ, physical gradients) at each point of the 2-point Gauss rule,
+    whose weights are all 1."""
     ndim = mesh.ndim
     h = np.array(mesh.element_size)
     detJ = np.prod(h / 2.0)
-    pts, wts = _gauss_points_1d()
-    out = []
-    if ndim == 2:
-        for a, wa in zip(pts, wts):
-            for b, wb in zip(pts, wts):
-                _, dN = _shape_gradients(2, (a, b))
-                grad = dN / (h[:, None] / 2.0)
-                out.append((wa * wb * detJ, grad))
-    else:
-        for a, wa in zip(pts, wts):
-            for b, wb in zip(pts, wts):
-                for c, wc in zip(pts, wts):
-                    _, dN = _shape_gradients(3, (a, b, c))
-                    grad = dN / (h[:, None] / 2.0)
-                    out.append((wa * wb * wc * detJ, grad))
-    return out
+    g = 1.0 / np.sqrt(3.0)
+    return [(detJ, _shape_gradients(ndim, xi) / (h[:, None] / 2.0))
+            for xi in itertools.product((-g, g), repeat=ndim)]
 
 
 def _read_only(a):
@@ -290,7 +235,7 @@ def element_stiffness(mesh, E=1.0, nu=DEFAULT_NU):
         raise ValueError("E must be positive")
     ndim = mesh.ndim
     D = _constitutive(ndim, E, nu)
-    nd = (4 if ndim == 2 else 8) * ndim
+    nd = 2 ** ndim * ndim
     ke = np.zeros((nd, nd))
     for w, grad in _quadrature(mesh):
         B = _b_matrix(ndim, grad)
@@ -310,28 +255,22 @@ def geometric_stiffness_tensor(mesh, nu=DEFAULT_NU):
     """
     ndim = mesh.ndim
     D = _constitutive(ndim, 1.0, nu)
-    nn = 4 if ndim == 2 else 8
-    nd = nn * ndim
+    nd = 2 ** ndim * ndim
     G = np.zeros((nd, nd, nd))
     eye = np.eye(nd)
     for w, grad in _quadrature(mesh):
         B = _b_matrix(ndim, grad)
         for k in range(nd):
             sig = D @ (B @ eye[k])
-            if ndim == 2:
-                S = np.array([[sig[0], sig[2]], [sig[2], sig[1]]])
-            else:
-                S = np.array([
-                    [sig[0], sig[3], sig[5]],
-                    [sig[3], sig[1], sig[4]],
-                    [sig[5], sig[4], sig[2]],
-                ])
+            S = np.diag(sig[:ndim])
+            for r, (a, b) in enumerate(_SHEAR[ndim], start=ndim):
+                S[a, b] = S[b, a] = sig[r]
             knode = grad.T @ S @ grad
             G[k] -= w * np.kron(knode, np.eye(ndim))
     return _read_only(G)
 
 
-def _scatter(mesh, moduli, ke, bc):
+def _scatter(mesh, moduli, ke, bc, unit_diagonal=False):
     """Assemble moduli[e] * ke[e] into a global CSR matrix, where ke is one
     element matrix shared by all elements or one per element.
 
@@ -339,8 +278,8 @@ def _scatter(mesh, moduli, ke, bc):
     into the mesh's cached `block_pattern` by one bincount over its slots, so
     a call builds no dof index arrays and, for a shared ke, no per-element
     matrix stack. The returned matrix owns its arrays and has sorted indices.
-    With bc, the rows and columns of its fixed dofs are zeroed and every
-    stored zero is dropped.
+    With bc, the rows and columns of its fixed dofs are zeroed, their
+    diagonal is set to 1 if unit_diagonal, and every stored zero is dropped.
     """
     indptr, indices, slots = mesh.block_pattern()
     dpn = mesh.dofs_per_node
@@ -352,12 +291,20 @@ def _scatter(mesh, moduli, ke, bc):
             w = moduli[:, None, None] * ke[..., c, :, d]
             blocks[c, d] = np.bincount(slots.ravel(), w.ravel(), indices.size)
     n = mesh.total_dofs
-    blocks = blocks.transpose(2, 0, 1)
-    K = sp.bsr_matrix((blocks, indices, indptr), shape=(n, n)).tocsr()
+    K = sp.bsr_matrix((blocks.transpose(2, 0, 1), indices, indptr),
+                      shape=(n, n)).tocsr()
+    del blocks
     if bc is not None:
         fixed = ~bc.free_mask
         K.data[np.repeat(fixed, np.diff(K.indptr)) | fixed[K.indices]] = 0.0
+        if unit_diagonal:
+            # every diagonal entry is still stored, so this changes values only
+            d = K.diagonal()
+            d[fixed] = 1.0
+            K.setdiag(d)
         K.eliminate_zeros()
+        # eliminate_zeros leaves views of the unpruned arrays; keep compact ones
+        K.indices, K.data = K.indices.copy(), K.data.copy()
     return K
 
 
@@ -372,11 +319,8 @@ def assemble_stiffness(mesh, bc, element_moduli):
         raise ValueError("element_moduli must have one entry per element")
     if np.any(element_moduli <= 0):
         raise ValueError("element moduli must be positive")
-    K = _scatter(mesh, element_moduli, element_stiffness(mesh, 1.0), bc)
-    if bc is not None:
-        K = (K + sp.diags((~bc.free_mask).astype(float))).tocsr()
-        K.sum_duplicates()
-    return K
+    return _scatter(mesh, element_moduli, element_stiffness(mesh, 1.0), bc,
+                    unit_diagonal=True)
 
 
 def assemble_stress_stiffness(mesh, bc, u, element_sigma_moduli):
@@ -400,37 +344,20 @@ def build_filter(mesh, radius=1.5):
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    dims = mesh.dims
-    reach = int(np.ceil(radius - 1e-12)) - 1
-    reach = max(reach, 0)
-    offsets = []
-    rng = range(-reach, reach + 1)
-    if mesh.ndim == 2:
-        for dx in rng:
-            for dy in rng:
-                d = np.hypot(dx, dy)
-                if d < radius:
-                    offsets.append((np.array([dx, dy]), radius - d))
-    else:
-        for dx in rng:
-            for dy in rng:
-                for dz in rng:
-                    d = np.sqrt(dx * dx + dy * dy + dz * dz)
-                    if d < radius:
-                        offsets.append((np.array([dx, dy, dz]), radius - d))
-
-    index_grids = np.meshgrid(*[np.arange(d) for d in dims], indexing="ij")
-    idx = np.stack([g.ravel(order="F") for g in index_grids], axis=1)
+    dims = np.array(mesh.dims)
+    reach = max(int(np.ceil(radius - 1e-12)) - 1, 0)
+    idx = _lattice(dims)
     strides = np.cumprod([1] + list(dims[:-1]))
     rows, cols, vals = [], [], []
-    for off, w in offsets:
+    for off in itertools.product(range(-reach, reach + 1), repeat=mesh.ndim):
+        d = np.sqrt(sum(c * c for c in off))
+        if d >= radius:
+            continue
         nbr = idx + off
-        ok = np.all((nbr >= 0) & (nbr < np.array(dims)), axis=1)
-        e = (idx[ok] * strides).sum(axis=1)
-        f = (nbr[ok] * strides).sum(axis=1)
-        rows.append(e)
-        cols.append(f)
-        vals.append(np.full(e.size, w))
+        ok = np.all((nbr >= 0) & (nbr < dims), axis=1)
+        rows.append(np.flatnonzero(ok))
+        cols.append(nbr[ok] @ strides)
+        vals.append(np.full(rows[-1].size, radius - d))
     S = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(mesh.element_count, mesh.element_count),
@@ -447,25 +374,16 @@ def rigid_body_modes(mesh, fixed_dofs=None):
     """
     xyz = mesh.node_coordinates()
     xyz = xyz - xyz.mean(axis=0)
-    n = mesh.node_count
     dpn = mesh.dofs_per_node
-    if mesh.ndim == 2:
-        B = np.zeros((n * dpn, 3))
-        B[0::2, 0] = 1.0
-        B[1::2, 1] = 1.0
-        B[0::2, 2] = -xyz[:, 1]
-        B[1::2, 2] = xyz[:, 0]
-    else:
-        B = np.zeros((n * dpn, 6))
-        for c in range(3):
-            B[c::3, c] = 1.0
-        # rotations about z, x, y
-        B[0::3, 3] = -xyz[:, 1]
-        B[1::3, 3] = xyz[:, 0]
-        B[1::3, 4] = -xyz[:, 2]
-        B[2::3, 4] = xyz[:, 1]
-        B[0::3, 5] = xyz[:, 2]
-        B[2::3, 5] = -xyz[:, 0]
+    n_rot = dpn * (dpn - 1) // 2
+    B = np.zeros((mesh.node_count * dpn, dpn + n_rot))
+    for a in range(dpn):
+        B[a::dpn, a] = 1.0
+    # rotations in the planes (a, a+1 mod dpn): about z in 2D; z, x, y in 3D
+    for a in range(n_rot):
+        b = (a + 1) % dpn
+        B[a::dpn, dpn + a] = -xyz[:, b]
+        B[b::dpn, dpn + a] = xyz[:, a]
     if fixed_dofs is not None:
         B[np.asarray(fixed_dofs, dtype=np.int64)] = 0.0
     return B

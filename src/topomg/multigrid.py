@@ -116,14 +116,8 @@ class SorChebyshevSmoother:
         self.A = A
         self.sor = _SorPreconditioner(A)
         self.degree = config.inner_iterations
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(A.shape[0])
-        lam = 1.0
-        for _ in range(10):
-            v /= np.linalg.norm(v)
-            w = self.sor.solve(A @ v)
-            lam = float(np.linalg.norm(w))
-            v = w
+        lam = estimate_spectral_radius(lambda v: self.sor.solve(A @ v), A.shape[0],
+                                       seed=seed)
         self.bounds = (0.1 * lam, 1.1 * lam)
 
     def apply(self, x, b, passes):
@@ -477,16 +471,15 @@ def tentative_prolongation(agg, near_nullspace, block_size):
     return T, Bc
 
 
-def estimate_spectral_radius(A, dinv=None, iterations=10, seed=0):
-    """Power-method estimate of rho(D^-1 A)."""
-    if dinv is None:
-        dinv = 1.0 / A.diagonal()
+def estimate_spectral_radius(op, n, iterations=10, seed=0):
+    """Power-method estimate of the spectral radius of the operator v -> op(v)
+    on vectors of size n."""
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.shape[0])
+    v = rng.standard_normal(n)
     lam = 1.0
     for _ in range(iterations):
         v /= np.linalg.norm(v)
-        v = dinv * (A @ v)
+        v = op(v)
         lam = float(np.linalg.norm(v))
     return max(lam, 1e-30)
 
@@ -494,7 +487,7 @@ def estimate_spectral_radius(A, dinv=None, iterations=10, seed=0):
 def smoothed_prolongation(A, T, seed=0):
     """One damped-Jacobi pass on the tentative prolongation (weight 4/(3 rho))."""
     dinv = 1.0 / A.diagonal()
-    rho = estimate_spectral_radius(A, dinv, seed=seed)
+    rho = estimate_spectral_radius(lambda v: dinv * (A @ v), A.shape[0], seed=seed)
     omega = 4.0 / (3.0 * rho)
     P = (T - sp.diags(omega * dinv) @ (A @ T)).tocsr()
     P.sum_duplicates()

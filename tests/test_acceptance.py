@@ -45,7 +45,7 @@ def check(num, name, ok, detail=""):
     if detail:
         line += "  (%s)" % detail
     print(line)
-    with open(REPORT_PATH, "a") as fh:
+    with open(REPORT_PATH, "a", encoding="utf-8") as fh:
         fh.write(line + "\n")
     assert ok, line
 
@@ -309,9 +309,11 @@ def test_06_grid_diagnostic_corner_structure(grid_corner_solves):
     best_ratio = gmg_best / amg_best
     ok = (five_levels and worst_ratio >= 2.5 and best_ratio <= 1.5 and
           s["elapsed"] < 600.0)
+    # an unconverged GMG solve stopped at its cap, so its ratio is a lower bound
+    bound = "" if s[("gmg", "worst")][0].converged else "≥"
     check(6, "grid diagnostic corner structure", ok,
-          "worst %.1fx, best %.2fx, %d gmg levels, %.0f s"
-          % (worst_ratio, best_ratio, s[("gmg", "worst")][1].n_levels,
+          "worst %s%.1fx, best %.2fx, %d gmg levels, %.0f s"
+          % (bound, worst_ratio, best_ratio, s[("gmg", "worst")][1].n_levels,
              s["elapsed"]))
 
 

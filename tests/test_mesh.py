@@ -64,6 +64,17 @@ def q4_geometric_stiffness_oracle(ue, E, nu):
     return Kg
 
 
+def voigt_constitutive_oracle(ndim, E, nu):
+    """Normal block and shear modulus of the isotropic Voigt constitutive
+    matrix: plane stress (unit thickness) in 2D, Lame form in 3D."""
+    if ndim == 2:
+        c = E / (1.0 - nu ** 2)
+        return c * np.array([[1.0, nu], [nu, 1.0]]), E / (2.0 * (1.0 + nu))
+    lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
+    mu = E / (2.0 * (1.0 + nu))
+    return lam * np.ones((3, 3)) + 2.0 * mu * np.eye(3), mu
+
+
 def dense_scatter_oracle(mesh, moduli, nu=0.3, ke=None, bc=None, unit_diagonal=True):
     """Assemble the global matrix by an explicit per-element double loop.
 
@@ -173,6 +184,35 @@ def test_element_stiffness_validates_inputs():
         element_stiffness(m, 1.0, 0.6)
     with pytest.raises(ValueError):
         element_stiffness(m, -1.0, 0.3)
+
+
+@pytest.mark.parametrize("size", [(0.5, 1.25), (0.5, 1.0, 2.0)], ids=["q4", "hex8"])
+def test_constant_strain_patch(size):
+    """For u = L x and phi = M x on one element, the element energy is
+    vol * eps.D.eps and the stress stiffness form is -vol * tr(M sigma M^T)."""
+    ndim = len(size)
+    m = build_mesh([1] * ndim, size)
+    E, nu = 2.5, 0.3
+    rng = np.random.default_rng(11)
+    L = rng.standard_normal((ndim, ndim))
+    Mg = rng.standard_normal((ndim, ndim))
+    xyz = m.node_coordinates()
+    u = (xyz @ L.T).ravel()  # node-major, component-minor
+    phi = (xyz @ Mg.T).ravel()
+    vol = np.prod(size)
+
+    Dn, mu = voigt_constitutive_oracle(ndim, E, nu)
+    eps = np.diag(L)
+    gamma = (L + L.T)[np.triu_indices(ndim, 1)]
+    energy = vol * (eps @ Dn @ eps + mu * gamma @ gamma)
+    ue = u[m.element_dofs()[0]]  # local node order
+    assert abs(ue @ element_stiffness(m, E, nu) @ ue - energy) <= 1e-12 * abs(energy)
+
+    sigma = mu * (L + L.T)
+    sigma[np.diag_indices(ndim)] = Dn @ eps
+    form = -vol * np.trace(Mg @ sigma @ Mg.T)
+    Ks = assemble_stress_stiffness(m, None, u, np.array([E])).toarray()
+    assert abs(phi @ Ks @ phi - form) <= 1e-12 * abs(form)
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +478,14 @@ def test_filter_3d_uniform():
 # rigid body modes
 # ---------------------------------------------------------------------------
 
-def test_rigid_body_modes_in_nullspace_3d():
-    m = build_mesh([2, 2, 2])
+@pytest.mark.parametrize("dims, size", [((2, 2, 2), (1.0, 1.0, 1.0)),
+                                        ((3, 2), (0.5, 1.25))], ids=["3d", "2d"])
+def test_rigid_body_modes_in_nullspace(dims, size):
+    m = build_mesh(dims, size)
     K = assemble_stiffness(m, None, np.ones(m.element_count))
     B = rigid_body_modes(m)
-    assert B.shape[1] == 6
+    assert B.shape[1] == (6 if m.ndim == 3 else 3)
+    assert np.linalg.matrix_rank(B) == B.shape[1]
     assert np.max(np.abs(K @ B)) < 1e-10
 
 

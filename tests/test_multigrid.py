@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topomg.bench import cantilever2d_problem
+from topomg.material import SimpLaw
 from topomg.mesh import (BoundaryConditions, assemble_stiffness, build_mesh,
                          rigid_body_modes)
-from topomg.multigrid import (AdaptiveHybridController, SmootherConfig,
+from topomg.multigrid import (DEFAULT_STRENGTH_BETA, AdaptiveHybridController,
+                              SmootherConfig, _merge_small_aggregates,
                               adapt_after_solve, aggregate_nodes, build_gmg,
                               build_hybrid, build_sa_amg, geometric_prolongation,
                               gmg_level_dims, make_smoother, smooth,
@@ -182,6 +186,54 @@ def test_tentative_prolongation_reproduces_candidates():
 # ---------------------------------------------------------------------------
 # SA-AMG and hybrid hierarchies
 # ---------------------------------------------------------------------------
+
+VOID = 1e-3
+
+
+@st.composite
+def cantilever_designs(draw):
+    """A 2D cantilever (fixed left edge) from 4x4 to 16x16 with a random,
+    void-heavy (80 % of the elements at VOID) or all-void density."""
+    nx, ny = draw(st.integers(4, 16)), draw(st.integers(4, 16))
+    kind = draw(st.sampled_from(["random", "void_heavy", "all_void"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_el = nx * ny
+    if kind == "random":
+        rho = rng.uniform(VOID, 1.0, n_el)
+    elif kind == "void_heavy":
+        rho = np.where(rng.random(n_el) < 0.8, VOID, rng.uniform(VOID, 1.0, n_el))
+    else:
+        rho = np.full(n_el, VOID)
+    mesh, bc, K = cantilever_k((nx, ny), moduli=SimpLaw().modulus(rho))
+    return mesh, bc, K, rng
+
+
+@settings(max_examples=100, deadline=None)
+@given(cantilever_designs())
+def test_merged_aggregates_are_contiguous_and_reproduce_candidates(case):
+    mesh, bc, K, _ = case
+    graph = strength_of_connection(K, DEFAULT_STRENGTH_BETA, 2)
+    agg = _merge_small_aggregates(aggregate_nodes(graph)[0], graph.adjacency, 2)
+    assert np.array_equal(np.unique(agg), np.arange(agg.max() + 1))
+    assert np.bincount(agg).min() >= 2
+    B = rigid_body_modes(mesh, bc.fixed_dofs)
+    T, Bc = tentative_prolongation(agg, B, 2)
+    assert np.max(np.abs(T @ Bc - B)) <= 1e-10 * np.max(np.abs(B))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cantilever_designs())
+def test_sa_vcycle_is_linear(case):
+    mesh, bc, K, rng = case
+    h = build_sa_amg(K, rigid_body_modes(mesh, bc.fixed_dofs), coarse_max_dofs=20)
+    x, y = rng.standard_normal((2, K.shape[0]))
+    Mx, My = h.apply(x), h.apply(y)
+    lin = h.apply(2.0 * x - 3.0 * y) - (2.0 * Mx - 3.0 * My)
+    assert np.linalg.norm(lin) <= 1e-10 * (2.0 * np.linalg.norm(Mx)
+                                          + 3.0 * np.linalg.norm(My))
+    # the coarse LU leaves an asymmetry near 1e-8 on void-heavy designs
+    assert abs(x @ My - y @ Mx) <= 1e-6 * np.linalg.norm(x) * np.linalg.norm(My)
+
 
 def test_sa_amg_galerkin_symmetry_bound():
     mesh, bc, K = cantilever_k((16, 8))
