@@ -72,7 +72,6 @@ CONFIG_SCHEMA = {
         "solver": {
             "type": "object",
             "properties": {
-                "method": {"enum": ["gmres", "fgmres"]},
                 "rtol": {"type": "number"},
                 "max_iterations": {"type": "integer"},
                 "restart": {"type": "integer"},
@@ -232,10 +231,7 @@ class BenchConfig:
         smoother = SmootherConfig(**pre.get("smoother", {}))
         default_rtol = 1e-7 if "cantilever" in problem else 1e-8
         sol = raw.get("solver", {})
-        solver = krylov.SolveConfig(method=sol.get("method", "gmres"),
-                                    rtol=sol.get("rtol", default_rtol),
-                                    max_iterations=sol.get("max_iterations", 1000),
-                                    restart=sol.get("restart", 200))
+        solver = krylov.SolveConfig(**{"rtol": default_rtol, **sol})
         eigen = DavidsonConfig(**raw.get("eigen", {}))
         grid = None
         if problem == "grid_diagnostic":

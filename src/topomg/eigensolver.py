@@ -137,8 +137,7 @@ def generalized_davidson(A, B, M=None, cfg=None, initial_space=None):
         target_idx = _next_target(theta, Q, B, locked_vecs)
         th = theta[target_idx]
         q = Q[:, target_idx]
-        r = A @ q - th * (B @ q)
-        rel = np.linalg.norm(r) / max(np.linalg.norm(A @ q), 1e-300)
+        r, rel = _relative_residual(A, B, th, q)
         stalled = (prev_theta is not None and
                    abs(th - prev_theta) <= cfg.rtol_eigenvalue_stall * max(abs(th), 1e-300))
         if rel <= cfg.rtol_residual or stalled:
@@ -167,17 +166,20 @@ def generalized_davidson(A, B, M=None, cfg=None, initial_space=None):
     k = min(cfg.n_modes, theta.size)
     vals = theta[:k]
     vecs = Q[:, :k]
-    res = np.array([
-        np.linalg.norm(A @ vecs[:, i] - vals[i] * (B @ vecs[:, i]))
-        / max(np.linalg.norm(A @ vecs[:, i]), 1e-300)
-        for i in range(k)
-    ])
+    res = np.array([_relative_residual(A, B, vals[i], vecs[:, i])[1] for i in range(k)])
     # a returned pair is converged if it is one of the locked modes, which
     # lead the descending order, or its residual meets the tolerance
     converged = (np.arange(k) < len(locked_vals)) | (res <= 2 * cfg.rtol_residual)
     return EigenResult(eigenvalues=vals, eigenvectors=vecs, iterations=it,
                        converged_count=int(np.count_nonzero(converged)), residuals=res,
                        lock_reasons=lock_reasons)
+
+
+def _relative_residual(A, B, theta, q):
+    """The residual r = A q - theta B q of a Ritz pair and ||r|| / ||A q||."""
+    Aq = A @ q
+    r = Aq - theta * (B @ q)
+    return r, np.linalg.norm(r) / max(np.linalg.norm(Aq), 1e-300)
 
 
 def _next_target(theta, Q, B, locked_vecs):

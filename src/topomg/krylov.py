@@ -15,7 +15,6 @@ BREAKDOWN_TOL = 1e-14
 
 @dataclass(frozen=True)
 class SolveConfig:
-    method: str = "gmres"  # gmres | fgmres
     rtol: float = 1e-7
     max_iterations: int = 1000
     restart: int = 200
@@ -49,8 +48,11 @@ def _gmres_core(A, b, x0, M, cfg, flexible):
     t0 = time.perf_counter()
     M = M or _identity
     b = np.asarray(b, dtype=float)
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float).copy()
-    r = b - A @ x
+    if x0 is None:
+        x, r = np.zeros_like(b), b
+    else:
+        x = np.asarray(x0, dtype=float).copy()
+        r = b - A @ x
     r0_norm = float(np.linalg.norm(r))
     record = SolveRecord(residual_history=[r0_norm])
     # tolerance relative to the right-hand side, so warm starts can shorten
@@ -64,8 +66,6 @@ def _gmres_core(A, b, x0, M, cfg, flexible):
     broke_down = False
     while total < cfg.max_iterations and not broke_down:
         beta = float(np.linalg.norm(r))
-        if beta <= tol:
-            break
         m = min(cfg.restart, cfg.max_iterations - total)
         V = np.empty((m + 1, b.size))
         Z = np.empty((m, b.size)) if flexible else None
@@ -120,8 +120,8 @@ def _gmres_core(A, b, x0, M, cfg, flexible):
         if record.residual_history[-1] <= tol:
             break
     record.iterations = total
-    final = float(np.linalg.norm(b - A @ x))
-    record.converged = final <= tol
+    # the last history entry is always ||b - A x|| of the returned x
+    record.converged = record.residual_history[-1] <= tol
     record.solve_time = time.perf_counter() - t0
     return x, record
 
@@ -134,5 +134,5 @@ def gmres_solve(A, b, x0=None, M=None, cfg=None):
 
 def fgmres_solve(A, b, x0=None, M=None, cfg=None):
     """Flexible GMRES; M may change between applications (e.g. inner Krylov)."""
-    cfg = cfg or SolveConfig(method="fgmres")
+    cfg = cfg or SolveConfig()
     return _gmres_core(A, b, x0, M, cfg, flexible=True)

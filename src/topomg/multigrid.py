@@ -10,12 +10,13 @@ All coarse operators come from the Galerkin triple product P^T A P and the
 coarsest operator is factorized once at build time.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import krylov
 from .mesh import StructuredMesh, rigid_body_modes
 
 DEFAULT_STRENGTH_BETA = 0.003
@@ -29,8 +30,7 @@ DEFAULT_STRENGTH_BETA = 0.003
 class SmootherConfig:
     kind: str = "weighted_jacobi"  # weighted_jacobi | block_jacobi | sor_chebyshev | sor_gmres
     weight: float = 0.5
-    inner_iterations: int = 2      # Chebyshev degree / GMRES steps per pass
-    block_size: int = 2            # dofs per node for block_jacobi
+    inner_iterations: int = 2      # Chebyshev degree / GMRES steps per correction
 
     def __post_init__(self):
         if not (0 < self.weight <= 1):
@@ -40,31 +40,31 @@ class SmootherConfig:
 
     @property
     def stationary(self):
-        """True if repeated application is a fixed linear operator."""
+        """True for the Jacobi smoothers: the solver harness runs plain GMRES
+        on their V-cycle and flexible GMRES on the SOR-based ones."""
         return self.kind in ("weighted_jacobi", "block_jacobi")
 
+
+# Every smoother is a correction operator r -> dx: called on a residual
+# r = b - A x, it returns the update dx of x. `MgHierarchy.vcycle` forms the
+# residuals.
 
 class WeightedJacobiSmoother:
     def __init__(self, A, config):
         d = A.diagonal()
         if np.any(d == 0):
             raise ValueError("zero diagonal entry; operator not smoothable")
-        self.A = A
         self.dinv = 1.0 / d
         self.w = config.weight
 
-    def apply(self, x, b, passes):
-        for _ in range(passes):
-            r = b - self.A @ x
-            x = x + self.w * (self.dinv * r)
-        return x
+    def __call__(self, r):
+        return self.w * (self.dinv * r)
 
 
 class BlockJacobiSmoother:
-    """Weighted Jacobi with one dense block per node."""
+    """Weighted Jacobi with one dense block per node of bs dofs."""
 
-    def __init__(self, A, config):
-        bs = config.block_size
+    def __init__(self, A, config, bs):
         n = A.shape[0]
         if n % bs != 0:
             raise ValueError("matrix size not divisible by block size")
@@ -78,19 +78,12 @@ class BlockJacobiSmoother:
         if np.any(dets < 1e-300):
             raise ValueError("singular nodal block in block Jacobi smoother")
         self.binv = np.linalg.inv(blocks)
-        self.A = A
         self.bs = bs
         self.w = config.weight
 
-    def _solve_blocks(self, r):
+    def __call__(self, r):
         rb = r.reshape(-1, self.bs)
-        return np.einsum("nab,nb->na", self.binv, rb).ravel()
-
-    def apply(self, x, b, passes):
-        for _ in range(passes):
-            r = b - self.A @ x
-            x = x + self.w * self._solve_blocks(r)
-        return x
+        return self.w * np.einsum("nab,nb->na", self.binv, rb).ravel()
 
 
 class _SorPreconditioner:
@@ -120,44 +113,34 @@ class SorChebyshevSmoother:
                                        seed=seed)
         self.bounds = (0.1 * lam, 1.1 * lam)
 
-    def apply(self, x, b, passes):
+    def __call__(self, r):
         lo, hi = self.bounds
         d = (hi + lo) / 2.0
         c = (hi - lo) / 2.0
-        for _ in range(passes):
-            r = b - self.A @ x
-            alpha = beta = 0.0
-            p = None
-            for i in range(self.degree):
-                z = self.sor.solve(r)
-                if i == 0:
-                    p = z.copy()
-                    alpha = 1.0 / d
-                else:
-                    beta = (c * alpha / 2.0) ** 2
-                    alpha = 1.0 / (d - beta / alpha)
-                    p = z + beta * p
-                x = x + alpha * p
-                r = r - alpha * (self.A @ p)
-        return x
+        p = self.sor.solve(r)
+        alpha = 1.0 / d
+        dx = alpha * p
+        for _ in range(self.degree - 1):
+            r = r - alpha * (self.A @ p)
+            beta = (c * alpha / 2.0) ** 2
+            alpha = 1.0 / (d - beta / alpha)
+            p = self.sor.solve(r) + beta * p
+            dx = dx + alpha * p
+        return dx
 
 
 class SorGmresSmoother:
-    """A few GMRES steps right-preconditioned by one SOR sweep."""
+    """A few flexible GMRES steps from dx = 0, right-preconditioned by one SOR
+    sweep."""
 
     def __init__(self, A, config):
         self.A = A
         self.sor = _SorPreconditioner(A)
-        self.steps = config.inner_iterations
+        self.cfg = krylov.SolveConfig(rtol=1e-14, max_iterations=config.inner_iterations,
+                                      restart=config.inner_iterations)
 
-    def apply(self, x, b, passes):
-        from .krylov import SolveConfig, fgmres_solve
-
-        cfg = SolveConfig(method="fgmres", rtol=1e-14, max_iterations=self.steps,
-                          restart=self.steps)
-        for _ in range(passes):
-            x, _ = fgmres_solve(self.A, b, x, self.sor.solve, cfg)
-        return x
+    def __call__(self, r):
+        return krylov.fgmres_solve(self.A, r, None, self.sor.solve, self.cfg)[0]
 
 
 _SMOOTHERS = {
@@ -168,21 +151,15 @@ _SMOOTHERS = {
 }
 
 
-def make_smoother(config, A, block_size=None):
+def make_smoother(config, A, block_size):
+    """The configured smoother of A; block_size is the level's dofs per node."""
     try:
         cls = _SMOOTHERS[config.kind]
     except KeyError:
         raise ValueError("unknown smoother kind %r" % config.kind) from None
-    if (block_size is not None and config.kind == "block_jacobi"
-            and block_size != config.block_size):
-        config = replace(config, block_size=block_size)
+    if cls is BlockJacobiSmoother:
+        return cls(A, config, block_size)
     return cls(A, config)
-
-
-def smooth(config, A, x, b, passes=1):
-    """Apply `passes` smoothing sweeps of the configured kind to A x = b."""
-    return make_smoother(config, sp.csr_matrix(A)).apply(np.asarray(x, float).copy(),
-                                                         np.asarray(b, float), passes)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +171,7 @@ class MgLevel:
     A: sp.csr_matrix
     P: sp.csr_matrix | None
     provenance: str  # "geometric" | "algebraic"
-    smoother: object | None = None
+    smoother: object | None = None  # correction operator r -> dx
 
 
 @dataclass
@@ -219,17 +196,17 @@ class MgHierarchy:
         return self.smoother_config is None or self.smoother_config.stationary
 
     def vcycle(self, b, k=0):
-        """One V-cycle on level k with a zero initial guess: one pre- and one
-        post-smoothing pass around the coarse correction."""
+        """One V-cycle on level k with a zero initial guess: a smoothing
+        correction of b, a coarse correction of the residual it leaves, and a
+        smoothing correction of the residual left after that."""
         if not (0 <= k < self.n_levels):
             raise IndexError("level index out of range")
         lvl = self.levels[k]
         if lvl.P is None:  # coarsest: direct solve
             return self.coarse_solve(b)
-        x = lvl.smoother.apply(np.zeros_like(b), b, 1)
-        r = b - lvl.A @ x
-        x = x + lvl.P @ self.vcycle(lvl.P.T @ r, k + 1)
-        x = lvl.smoother.apply(x, b, 1)
+        x = lvl.smoother(b)
+        x += lvl.P @ self.vcycle(lvl.P.T @ (b - lvl.A @ x), k + 1)
+        x += lvl.smoother(b - lvl.A @ x)
         return x
 
     def apply(self, b):

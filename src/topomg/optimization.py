@@ -101,11 +101,11 @@ class SolverHarness:
         if hierarchy is None and self.strategy != "none":
             hierarchy, setup = self.build(K)
         M = hierarchy.apply if hierarchy is not None else None
+        # a nonstationary smoother makes the V-cycle change between
+        # applications, which only flexible GMRES allows
         stationary = hierarchy is None or hierarchy.stationary
-        if stationary and self.solve_cfg.method != "fgmres":
-            x, rec = krylov.gmres_solve(K, f, x0, M, self.solve_cfg)
-        else:
-            x, rec = krylov.fgmres_solve(K, f, x0, M, self.solve_cfg)
+        solve = krylov.gmres_solve if stationary else krylov.fgmres_solve
+        x, rec = solve(K, f, x0, M, self.solve_cfg)
         rec.setup_time = setup
         if self.strategy == "hybrid_adaptive":
             adapt_after_solve(self.controller, rec.iterations)

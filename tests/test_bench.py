@@ -258,6 +258,15 @@ def test_cli_invalid_config_exit_1(tmp_path):
     assert cli("run", str(bad)).returncode == 1
 
 
+def test_cli_solver_method_rejected_exit_1(tmp_path):
+    # the Krylov method follows the smoother; a config cannot choose it
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"problem": "cantilever2d", "solver": {"method": "fgmres"}}))
+    out = cli("run", str(bad))
+    assert out.returncode == 1
+    assert "invalid configuration" in out.stderr
+
+
 def test_cli_run_and_report(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     raw = dict(SMALL_RUN)

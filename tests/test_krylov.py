@@ -74,7 +74,7 @@ def test_vcycle_preconditioner_beats_unpreconditioned():
     bc = BoundaryConditions(fixed, f)
     K = assemble_stiffness(mesh, bc, np.ones(mesh.element_count))
     h = build_gmg(mesh, K, 60, SmootherConfig(kind="sor_gmres"))
-    cfg = SolveConfig(rtol=1e-7, method="fgmres")
+    cfg = SolveConfig(rtol=1e-7)
     _, pre = fgmres_solve(K, bc.load_vector, M=h.apply, cfg=cfg)
     _, bare = fgmres_solve(K, bc.load_vector, M=None, cfg=cfg)
     assert pre.converged
