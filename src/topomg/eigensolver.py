@@ -41,7 +41,7 @@ class EigenResult:
 
 
 def b_orthonormalize(V, z, B, reject_tol=1e-10):
-    """Two-pass modified Gram-Schmidt of z against V in the B-inner product.
+    """Two-pass Gram-Schmidt of z against V in the B-inner product.
 
     Returns the appended unit-B-norm vector, or None if z was numerically in
     span(V) (rejection is a signal to try a different expansion vector).
@@ -84,24 +84,121 @@ def rayleigh_ritz(A, B, V):
     return theta, V @ y
 
 
-def _b_basis(candidates, B, locked=(), limit=None, V=None):
-    """Extend the B-orthonormal columns of V (none by default) from `candidates`.
+def _b_basis(candidates, B, locked=(), limit=None):
+    """B-orthonormal columns from `candidates`, B-orthogonal to `locked`.
 
-    Each candidate is deflated against the B-orthonormal `locked` vectors,
-    B-orthonormalized against the columns kept so far and dropped if it is
-    numerically dependent on them. Stops once there are `limit` columns or the
-    candidates run out; returns None if no column was kept.
+    Each candidate is B-orthonormalized against the B-orthonormal `locked`
+    vectors and the columns kept so far, and dropped if it is numerically in
+    their span. Stops once there are `limit` columns or the candidates run
+    out; returns None if no column was kept.
     """
-    L = np.column_stack(locked) if len(locked) else None
+    W = np.column_stack(locked) if len(locked) else None
+    nl = 0 if W is None else W.shape[1]
     for z in candidates:
-        if L is not None:
-            z = z - L @ (L.T @ (B @ z))
-        z = b_orthonormalize(V, z, B)
+        z = b_orthonormalize(W, z, B)
         if z is not None:
-            V = np.column_stack([z] if V is None else [V, z])
-            if V.shape[1] == limit:
+            W = np.column_stack([z] if W is None else [W, z])
+            if W.shape[1] - nl == limit:
                 break
-    return V
+    return None if W is None or W.shape[1] == nl else W[:, nl:]
+
+
+class _Subspace:
+    """The search space X = [locked | active] of generalized Davidson, kept
+    with A X, B X and the projected pencil GA = X^T A X, GB = X^T B X.
+
+    The rows of X, AX and BX are the basis vectors, preallocated to `cap`.
+    Restarts and locks replace the active vectors by combinations X C of the
+    kept ones, so they cost no products with A or B.
+    """
+
+    def __init__(self, A, B, cap):
+        self.A, self.B = A, B
+        self.X, self.AX, self.BX = (np.empty((cap, A.shape[0])) for _ in range(3))
+        self.GA, self.GB = np.empty((cap, cap)), np.empty((cap, cap))
+        self.nl = self.m = 0
+
+    def set_active(self, V):
+        """Make the columns of V the active vectors, with explicit products."""
+        nl, k = self.nl, self.nl + V.shape[1]
+        self.X[nl:k] = V.T
+        self.AX[nl:k] = (self.A @ V).T
+        self.BX[nl:k] = (self.B @ V).T
+        for G, P in ((self.GA, self.AX[:k]), (self.GB, self.BX[:k])):
+            G[:k, :k] = 0.5 * (self.X[:k] @ P.T + P @ self.X[:k].T)
+        self.m = k
+
+    def combine(self, C):
+        """Replace the active vectors by X C (C has one row per basis vector)."""
+        nl, m, k = self.nl, self.m, self.nl + C.shape[1]
+        for Z in (self.X, self.AX, self.BX):
+            Z[nl:k] = C.T @ Z[:m]
+        C = np.hstack([np.eye(m, nl), C])
+        for G in (self.GA, self.GB):
+            P = C.T @ G[:m, :m] @ C
+            G[:k, :k] = 0.5 * (P + P.T)
+        self.m = k
+
+    def ritz(self):
+        """Ritz values, descending, and their coefficient vectors in X.
+
+        If GB has lost definiteness the active vectors are B-orthonormalized
+        again and their products recomputed, once.
+        """
+        for attempt in range(2):
+            m = self.m
+            try:
+                theta, Y = scipy.linalg.eigh(self.GA[:m, :m], self.GB[:m, :m])
+                break
+            except scipy.linalg.LinAlgError:
+                if attempt == 1:
+                    raise
+                self.set_active(_b_basis(self.X[self.nl:m], self.B, self.X[:self.nl]))
+        order = np.argsort(theta)[::-1]
+        return theta[order], Y[:, order]
+
+    def lock(self, y, fill, j_min):
+        """Lock the Ritz vector X y; the active vectors are deflated against it
+        and refilled with `j_min` vectors from `fill` if none is left."""
+        nl, m = self.nl, self.m
+        GB = self.GB[:m, :m]
+        # the new active span is the B-orthogonal complement of the locked
+        # vectors and X y in span(X). In coefficients, the trailing columns of
+        # a full QR of GB [e_1 .. e_nl, y] span it exactly, so no dependent
+        # active vector survives as rounding noise.
+        W = np.column_stack([np.eye(m, nl), y])
+        C = _b_basis(scipy.linalg.qr(GB @ W)[0][:, nl + 1:].T, GB)
+        self.combine(y[:, None] if C is None else np.column_stack([y, C]))
+        self.nl += 1
+        if C is None:
+            self.set_active(_b_basis(fill, self.B, self.X[:self.nl], j_min))
+
+    def expand(self, candidates):
+        """Append the first candidate that is not numerically in span(X).
+
+        Each candidate is B-orthogonalized against X in two passes through the
+        kept B X, so only its final B-norm and A-product need the matrices.
+        """
+        m = self.m
+        X, BX = self.X[:m], self.BX[:m]
+        for z in candidates:
+            h = BX @ z
+            z = z - h @ X
+            h2 = BX @ z
+            z -= h2 @ X
+            h += h2
+            Bz = self.B @ z
+            nrm = np.sqrt(abs(z @ Bz))
+            # kept unless it lost all but 1e-10 of its B-norm, which is taken
+            # before deflation from the B-orthogonal split z0 = z + X h
+            if nrm > 1e-10 * np.sqrt(nrm ** 2 + h @ self.GB[:m, :m] @ h):
+                break
+        self.X[m] = z / nrm
+        self.BX[m] = Bz / nrm
+        self.AX[m] = self.A @ self.X[m]
+        for G, P in ((self.GA, self.AX), (self.GB, self.BX)):
+            G[:m + 1, m] = G[m, :m + 1] = self.X[:m + 1] @ P[m]
+        self.m = m + 1
 
 
 def generalized_davidson(A, B, M=None, cfg=None, initial_space=None):
@@ -110,6 +207,7 @@ def generalized_davidson(A, B, M=None, cfg=None, initial_space=None):
     B must be SPD; M approximates the action of B^-1 (typically a multigrid
     V-cycle built for B). A mode is converged when its relative residual falls
     below cfg.rtol_residual or its eigenvalue stalls between outer iterations.
+    An outer iteration costs one product with A, one with B and one with M.
     """
     cfg = cfg or DavidsonConfig()
     n = A.shape[0]
@@ -118,77 +216,54 @@ def generalized_davidson(A, B, M=None, cfg=None, initial_space=None):
     if M is None:
         M = lambda v: v
 
-    # locked (converged) modes kept separate from the active search space
-    locked_vals = []
-    locked_vecs = []
-    lock_reasons = []
     start = ()
     if initial_space is not None:
         S = np.atleast_2d(np.asarray(initial_space, dtype=float))
         start = S.T if S.shape[0] == n else S
-    V = _b_basis(itertools.chain(start, gaussian), B, limit=cfg.j_min)
+    space = _Subspace(A, B, cfg.n_modes + cfg.j_max + 1)
+    space.set_active(_b_basis(itertools.chain(start, gaussian), B, limit=cfg.j_min))
 
+    lock_reasons = []
     it = 0
     prev_theta = None
-    while it < cfg.max_iterations and len(locked_vals) < cfg.n_modes:
-        W = np.column_stack(locked_vecs + [V]) if locked_vecs else V
-        theta, Q = rayleigh_ritz(A, B, W)
-        # active target: largest Ritz value not matching a locked mode
-        target_idx = _next_target(theta, Q, B, locked_vecs)
-        th = theta[target_idx]
-        q = Q[:, target_idx]
-        r, rel = _relative_residual(A, B, th, q)
+    while it < cfg.max_iterations and space.nl < cfg.n_modes:
+        theta, Y = space.ritz()
+        nl, m = space.nl, space.m
+        # active target: the largest Ritz value whose vector is not a locked
+        # mode (the first, if every one overlaps the locked modes)
+        target = int(np.argmax(np.linalg.norm(space.GB[:nl, :m] @ Y, axis=0) < 0.9))
+        th, y = theta[target], Y[:, target]
+        Aq = y @ space.AX[:m]
+        r = Aq - th * (y @ space.BX[:m])
+        rel = np.linalg.norm(r) / max(np.linalg.norm(Aq), 1e-300)
         stalled = (prev_theta is not None and
                    abs(th - prev_theta) <= cfg.rtol_eigenvalue_stall * max(abs(th), 1e-300))
         if rel <= cfg.rtol_residual or stalled:
-            locked_vals.append(th)
-            locked_vecs.append(q)
             lock_reasons.append("residual" if rel <= cfg.rtol_residual else "stall")
             prev_theta = None
-            # remove the locked direction from the active basis
-            V = _b_basis(V.T, B, locked_vecs)
-            if V is None:
-                V = _b_basis(gaussian, B, locked_vecs, cfg.j_min)
+            space.lock(y, gaussian, cfg.j_min)
             continue
         prev_theta = th
         # restart: compress the active space to the leading j_min Ritz vectors
-        if V.shape[1] >= cfg.j_max:
-            V = _b_basis(Q.T, B, locked_vecs, cfg.j_min)
+        if m - nl >= cfg.j_max:
+            space.combine(_b_basis(Y.T, space.GB[:m, :m], np.eye(m)[:nl], cfg.j_min))
         # expand by the preconditioned residual, or a random vector if it is
         # already in the search space
-        V = _b_basis(itertools.chain([M(r)], gaussian), B, locked_vecs,
-                     limit=V.shape[1] + 1, V=V)
+        space.expand(itertools.chain([M(r)], gaussian))
         it += 1
 
     # final extraction: Ritz pairs over the locked and active vectors, made
     # B-orthonormal together first (deflation keeps them only nearly so)
-    theta, Q = rayleigh_ritz(A, B, _b_basis(itertools.chain(locked_vecs, V.T), B))
+    theta, Q = rayleigh_ritz(A, B, _b_basis(space.X[:space.m], B))
     k = min(cfg.n_modes, theta.size)
     vals = theta[:k]
     vecs = Q[:, :k]
-    res = np.array([_relative_residual(A, B, vals[i], vecs[:, i])[1] for i in range(k)])
+    AQ = A @ vecs
+    res = (np.linalg.norm(AQ - (B @ vecs) * vals, axis=0)
+           / np.maximum(np.linalg.norm(AQ, axis=0), 1e-300))
     # a returned pair is converged if it is one of the locked modes, which
     # lead the descending order, or its residual meets the tolerance
-    converged = (np.arange(k) < len(locked_vals)) | (res <= 2 * cfg.rtol_residual)
+    converged = (np.arange(k) < space.nl) | (res <= 2 * cfg.rtol_residual)
     return EigenResult(eigenvalues=vals, eigenvectors=vecs, iterations=it,
                        converged_count=int(np.count_nonzero(converged)), residuals=res,
                        lock_reasons=lock_reasons)
-
-
-def _relative_residual(A, B, theta, q):
-    """The residual r = A q - theta B q of a Ritz pair and ||r|| / ||A q||."""
-    Aq = A @ q
-    r = Aq - theta * (B @ q)
-    return r, np.linalg.norm(r) / max(np.linalg.norm(Aq), 1e-300)
-
-
-def _next_target(theta, Q, B, locked_vecs):
-    """Index of the largest Ritz value whose vector is not a locked mode."""
-    if not locked_vecs:
-        return 0
-    L = np.column_stack(locked_vecs)
-    for idx in range(theta.size):
-        proj = np.linalg.norm(L.T @ (B @ Q[:, idx]))
-        if proj < 0.9:
-            return idx
-    return 0

@@ -40,9 +40,12 @@ class SmootherConfig:
 
     @property
     def stationary(self):
-        """True for the Jacobi smoothers: the solver harness runs plain GMRES
-        on their V-cycle and flexible GMRES on the SOR-based ones."""
-        return self.kind in ("weighted_jacobi", "block_jacobi")
+        """True unless the smoother is SOR-GMRES. The Jacobi smoothers and
+        SOR-Chebyshev (a fixed-degree polynomial with fixed bounds) are fixed
+        linear operators, so the solver harness runs plain GMRES on their
+        V-cycle; SOR-GMRES's inner solve depends on its input and gets
+        flexible GMRES."""
+        return self.kind != "sor_gmres"
 
 
 # Every smoother is a correction operator r -> dx: called on a residual

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from topomg import eigensolver
 from topomg.eigensolver import (DavidsonConfig, b_orthonormalize,
                                 generalized_davidson, rayleigh_ritz)
 from topomg.mesh import (BoundaryConditions, assemble_stiffness,
@@ -67,6 +69,100 @@ def test_column_pencil_matches_dense_oracle():
     oracle = dense_pencil_oracle(Ks, K, bc.free_mask, 6)
     assert res.converged_count >= 6
     assert np.max(np.abs(res.eigenvalues - oracle) / np.abs(oracle)) < 1e-6
+
+
+def test_lobpcg_oracle_agrees():
+    mesh, bc, K, Ks = column_pencil((8, 24))
+    h = build_sa_amg(K, rigid_body_modes(mesh, bc.fixed_dofs), 100)
+    res = generalized_davidson(Ks, K, h.apply,
+                               DavidsonConfig(n_modes=6, max_iterations=500))
+    M = spla.LinearOperator(K.shape, matvec=lambda x: h.apply(x.ravel()), dtype=float)
+    X0 = np.random.default_rng(0).standard_normal((K.shape[0], 6))
+    vals = spla.lobpcg(Ks, X0, B=K, M=M, largest=True, tol=1e-8, maxiter=500)[0]
+    lobpcg = np.sort(vals)[::-1]
+    assert np.max(np.abs(res.eigenvalues - lobpcg) / np.abs(lobpcg)) < 1e-6
+
+
+class CountingOperator:
+    """A matrix whose products are counted in columns (a vector is one)."""
+
+    def __init__(self, A):
+        self.A, self.shape, self.columns = A, A.shape, 0
+
+    def __matmul__(self, X):
+        self.columns += 1 if np.ndim(X) == 1 else X.shape[1]
+        return self.A @ X
+
+
+def test_outer_iteration_costs_one_product_with_each_matrix():
+    mesh, bc, K, Ks = column_pencil((8, 24))
+    h = build_sa_amg(K, rigid_body_modes(mesh, bc.fixed_dofs), 100)
+    A, B = CountingOperator(Ks), CountingOperator(K)
+    marks = []  # products so far at each preconditioner call, once per iteration
+
+    def M(r):
+        marks.append((A.columns, B.columns))
+        return h.apply(r)
+
+    cfg = DavidsonConfig(n_modes=6, max_iterations=500)
+    res = generalized_davidson(A, B, M, cfg)
+    assert res.converged_count == 6 and len(marks) == res.iterations
+    # between two expansions: one Ritz step, and any locks and restarts
+    assert np.all(np.diff(marks, axis=0) <= [1, 3])
+    # the start space, the locks and the final extraction cost O(j_min) each
+    extra = (len(res.lock_reasons) + 2) * 3 * cfg.j_min
+    assert A.columns <= res.iterations + extra
+    assert B.columns <= 3 * res.iterations + extra
+
+
+def test_restart_heavy_run_keeps_products_exact(monkeypatch):
+    mesh, bc, K, Ks = column_pencil((6, 18))
+    h = build_sa_amg(K, rigid_body_modes(mesh, bc.fixed_dofs), 80)
+    drift, ritz, combine = [], eigensolver._Subspace.ritz, eigensolver._Subspace.combine
+    combines = []
+
+    def checked_ritz(space):
+        # the kept products and B-Gram matrix against fresh ones
+        X = space.X[:space.m]
+        drift.append(max(np.abs(space.AX[:space.m] - (Ks @ X.T).T).max() / abs(Ks).max(),
+                         np.abs(space.BX[:space.m] - (K @ X.T).T).max() / abs(K).max(),
+                         np.abs(space.GB[:space.m, :space.m] - X @ (K @ X.T)).max()))
+        return ritz(space)
+
+    def counted_combine(space, C):
+        combines.append(C.shape)
+        return combine(space, C)
+
+    monkeypatch.setattr(eigensolver._Subspace, "ritz", checked_ritz)
+    monkeypatch.setattr(eigensolver._Subspace, "combine", counted_combine)
+    cfg = DavidsonConfig(n_modes=6, j_min=6, j_max=8, max_iterations=500)
+    res = generalized_davidson(Ks, K, h.apply, cfg)
+    # every second or third outer iteration restarts or locks
+    assert res.converged_count == 6 and len(combines) >= res.iterations / 3
+    assert max(drift) < 1e-10
+    oracle = dense_pencil_oracle(Ks, K, bc.free_mask, 6)
+    assert np.max(np.abs(res.eigenvalues - oracle) / np.abs(oracle)) < 1e-8
+    V = res.eigenvectors
+    assert np.max(np.abs(V.T @ (K @ V) - np.eye(6))) < 1e-8
+    AV = Ks @ V
+    fresh = np.linalg.norm(AV - (K @ V) * res.eigenvalues, axis=0) / np.linalg.norm(AV, axis=0)
+    assert np.allclose(res.residuals, fresh, rtol=1e-12, atol=0)
+
+
+def test_indefinite_projected_b_matrix_rebuilds_active_vectors():
+    rng = np.random.default_rng(5)
+    Q = rng.standard_normal((30, 30))
+    B = sp.csr_matrix(Q @ Q.T + 30 * np.eye(30))
+    S = rng.standard_normal((30, 30))
+    A = sp.csr_matrix(S + S.T)
+    V = _b_orthonormal_basis(B, rng.standard_normal((30, 6)))
+    space = eigensolver._Subspace(A, B, 8)
+    space.set_active(V)
+    space.GB[0, 0] = -1.0  # a projected B matrix that lost definiteness
+    theta, _ = space.ritz()
+    assert np.allclose(theta, rayleigh_ritz(A, B, V)[0], atol=1e-10)
+    X = space.X[:space.m]
+    assert np.allclose(space.GB[:space.m, :space.m], X @ (B @ X.T), atol=1e-12)
 
 
 def test_eigenvectors_b_orthonormal():

@@ -350,6 +350,7 @@ def test_harness_adaptive_demotes_one_geometric_level_per_slow_solve():
 
 
 @pytest.mark.parametrize("kind, expected", [("weighted_jacobi", "gmres"),
+                                            ("sor_chebyshev", "gmres"),
                                             ("sor_gmres", "fgmres")])
 def test_harness_uses_flexible_gmres_exactly_for_nonstationary_smoothers(
         monkeypatch, kind, expected):
