@@ -33,9 +33,11 @@ DEFAULT_RESOLUTIONS = {
     "cantilever3d": (48, 24, 24),
 }
 
+# every object is closed, so a misspelled key fails validation
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
+    "additionalProperties": False,
     "required": ["problem"],
     "properties": {
         "problem": {"enum": ["cantilever2d", "column_stability",
@@ -45,6 +47,7 @@ CONFIG_SCHEMA = {
         "volume_fraction": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
         "schedule": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "start": {"type": "number"}, "stop": {"type": "number"},
                 "increment": {"type": "number"}, "steps_per_value": {"type": "integer"},
@@ -54,12 +57,14 @@ CONFIG_SCHEMA = {
         },
         "preconditioner": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "strategy": {"enum": ["gmg", "amg", "hybrid", "hybrid_adaptive", "none"]},
                 "coarse_max_dofs": {"type": "integer", "minimum": 1},
                 "n_geo": {"type": "integer", "minimum": 0},
                 "smoother": {
                     "type": "object",
+                    "additionalProperties": False,
                     "properties": {
                         "kind": {"enum": ["weighted_jacobi", "block_jacobi",
                                           "sor_chebyshev", "sor_gmres"]},
@@ -71,6 +76,7 @@ CONFIG_SCHEMA = {
         },
         "solver": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "rtol": {"type": "number"},
                 "max_iterations": {"type": "integer"},
@@ -79,6 +85,7 @@ CONFIG_SCHEMA = {
         },
         "eigen": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "j_min": {"type": "integer"}, "j_max": {"type": "integer"},
                 "n_modes": {"type": "integer"},
@@ -88,6 +95,7 @@ CONFIG_SCHEMA = {
         },
         "grid": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "domain": {"type": "integer", "minimum": 2},
                 "feature_width": {"type": "integer", "minimum": 1},
@@ -168,6 +176,8 @@ class GridSpec:
     def __post_init__(self):
         if self.feature_width > min(self.column_pitch, self.beam_pitch):
             raise ValueError("feature_width must not exceed the pitches")
+        if self.feature_width > self.domain:
+            raise ValueError("feature_width must not exceed the domain")
 
 
 def _strip_starts(domain, width, pitch):

@@ -11,6 +11,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+# a vector is numerically in a span if it keeps less than this fraction of its
+# B-norm after B-orthogonalization against it
+REJECT_TOL = 1e-10
+# a mode also locks when its Ritz value changes by at most this relative
+# amount between outer iterations
+RTOL_EIGENVALUE_STALL = 1e-13
+
 
 @dataclass(frozen=True)
 class DavidsonConfig:
@@ -18,7 +25,6 @@ class DavidsonConfig:
     j_max: int = 25
     n_modes: int = 6
     rtol_residual: float = 1e-6
-    rtol_eigenvalue_stall: float = 1e-13
     max_iterations: int = 1000
     seed: int = 0
 
@@ -40,7 +46,7 @@ class EigenResult:
     lock_reasons: list = field(default_factory=list)
 
 
-def b_orthonormalize(V, z, B, reject_tol=1e-10):
+def b_orthonormalize(V, z, B):
     """Two-pass Gram-Schmidt of z against V in the B-inner product.
 
     Returns the appended unit-B-norm vector, or None if z was numerically in
@@ -55,7 +61,7 @@ def b_orthonormalize(V, z, B, reject_tol=1e-10):
             Bz = B @ z
             z -= V @ (V.T @ Bz)
     nrm = np.sqrt(abs(z @ (B @ z)))
-    if nrm < reject_tol * norm0:
+    if nrm < REJECT_TOL * norm0:
         return None
     return z / nrm
 
@@ -189,9 +195,9 @@ class _Subspace:
             h += h2
             Bz = self.B @ z
             nrm = np.sqrt(abs(z @ Bz))
-            # kept unless it lost all but 1e-10 of its B-norm, which is taken
-            # before deflation from the B-orthogonal split z0 = z + X h
-            if nrm > 1e-10 * np.sqrt(nrm ** 2 + h @ self.GB[:m, :m] @ h):
+            # kept unless it lost all but REJECT_TOL of its B-norm, which is
+            # taken before deflation from the B-orthogonal split z0 = z + X h
+            if nrm > REJECT_TOL * np.sqrt(nrm ** 2 + h @ self.GB[:m, :m] @ h):
                 break
         self.X[m] = z / nrm
         self.BX[m] = Bz / nrm
@@ -237,7 +243,7 @@ def generalized_davidson(A, B, M=None, cfg=None, initial_space=None):
         r = Aq - th * (y @ space.BX[:m])
         rel = np.linalg.norm(r) / max(np.linalg.norm(Aq), 1e-300)
         stalled = (prev_theta is not None and
-                   abs(th - prev_theta) <= cfg.rtol_eigenvalue_stall * max(abs(th), 1e-300))
+                   abs(th - prev_theta) <= RTOL_EIGENVALUE_STALL * max(abs(th), 1e-300))
         if rel <= cfg.rtol_residual or stalled:
             lock_reasons.append("residual" if rel <= cfg.rtol_residual else "stall")
             prev_theta = None

@@ -4,6 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# void stiffness of the SIMP law as a fraction of e_max
+E_MIN_RATIO = 1e-10
+
 
 @dataclass(frozen=True)
 class SimpLaw:
@@ -11,11 +14,10 @@ class SimpLaw:
 
     e_max: float = 1.0
     penalty: float = 3.0
-    e_min_ratio: float = 1e-10
 
     @property
     def e_min(self):
-        return self.e_min_ratio * self.e_max
+        return E_MIN_RATIO * self.e_max
 
     def modulus(self, rho):
         rho = np.asarray(rho, dtype=float)

@@ -134,7 +134,8 @@ class BoundaryConditions:
     def __post_init__(self):
         self.fixed_dofs = np.unique(np.asarray(self.fixed_dofs, dtype=np.int64))
         self.load_vector = np.asarray(self.load_vector, dtype=float).copy()
-        if self.fixed_dofs.size and self.fixed_dofs[-1] >= self.load_vector.size:
+        if self.fixed_dofs.size and (self.fixed_dofs[0] < 0 or
+                                     self.fixed_dofs[-1] >= self.load_vector.size):
             raise ValueError("fixed dof index out of range")
         self.load_vector[self.fixed_dofs] = 0.0
 
@@ -150,7 +151,6 @@ class FilterOperator:
     """Row-normalized linear density filter rho = S @ alpha."""
 
     matrix: sp.csr_matrix
-    radius: float
 
     def apply(self, alpha):
         return self.matrix @ alpha
@@ -364,7 +364,7 @@ def build_filter(mesh, radius=1.5):
     ).tocsr()
     rowsum = np.asarray(S.sum(axis=1)).ravel()
     S = sp.diags(1.0 / rowsum) @ S
-    return FilterOperator(matrix=S.tocsr(), radius=float(radius))
+    return FilterOperator(matrix=S.tocsr())
 
 
 def rigid_body_modes(mesh, fixed_dofs=None):

@@ -19,7 +19,11 @@ import scipy.sparse.linalg as spla
 from . import krylov
 from .mesh import StructuredMesh, rigid_body_modes
 
+# strength threshold and level cap of smoothed aggregation (Vanek, Mandel &
+# Brezina 1996), and the power-method steps of every spectral-radius estimate
 DEFAULT_STRENGTH_BETA = 0.003
+MAX_SA_LEVELS = 30
+POWER_ITERATIONS = 10
 
 
 # ---------------------------------------------------------------------------
@@ -104,16 +108,15 @@ class _SorPreconditioner:
 class SorChebyshevSmoother:
     """Fixed-degree Chebyshev polynomial in the SOR-preconditioned operator.
 
-    Eigenvalue bounds are [0.1, 1.1] times a spectral-radius estimate from 10
-    power-method steps.
+    Eigenvalue bounds are [0.1, 1.1] times a spectral-radius estimate from
+    POWER_ITERATIONS power-method steps.
     """
 
-    def __init__(self, A, config, seed=0):
+    def __init__(self, A, config):
         self.A = A
         self.sor = _SorPreconditioner(A)
         self.degree = config.inner_iterations
-        lam = estimate_spectral_radius(lambda v: self.sor.solve(A @ v), A.shape[0],
-                                       seed=seed)
+        lam = estimate_spectral_radius(lambda v: self.sor.solve(A @ v), A.shape[0])
         self.bounds = (0.1 * lam, 1.1 * lam)
 
     def __call__(self, r):
@@ -285,21 +288,11 @@ def build_gmg(mesh, K, coarse_max_dofs, smoother=None):
 # smoothed aggregation construction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StrengthGraph:
-    """Symmetric node adjacency after thresholding nodal-block couplings."""
-
-    adjacency: sp.csr_matrix  # boolean-valued, no self loops
-    beta: float
-
-    @property
-    def n_nodes(self):
-        return self.adjacency.shape[0]
-
-
-def strength_of_connection(K, beta=DEFAULT_STRENGTH_BETA, block_size=1):
-    """Keep edge (i,j) iff the squared nodal-block coupling exceeds beta times
-    the product of the diagonal blocks (blocks scalarized by Frobenius norm)."""
+def strength_of_connection(K, block_size=1):
+    """The strong-coupling node adjacency: a CSR matrix of ones, without self
+    loops, with edge (i,j) iff the squared nodal-block coupling exceeds
+    DEFAULT_STRENGTH_BETA times the product of the diagonal blocks (blocks
+    scalarized by Frobenius norm)."""
     K = sp.csr_matrix(K)
     n = K.shape[0]
     if n % block_size != 0:
@@ -316,14 +309,13 @@ def strength_of_connection(K, beta=DEFAULT_STRENGTH_BETA, block_size=1):
         raise ValueError("zero diagonal block; input looks unassembled or singular")
     Mc = M.tocoo()
     scale = np.sqrt(diag[Mc.row] * diag[Mc.col])
-    keep = (Mc.row != Mc.col) & (Mc.data > beta * scale)
-    adj = sp.coo_matrix((np.ones(np.count_nonzero(keep)),
-                         (Mc.row[keep], Mc.col[keep])), shape=(nb, nb)).tocsr()
-    return StrengthGraph(adjacency=adj, beta=float(beta))
+    keep = (Mc.row != Mc.col) & (Mc.data > DEFAULT_STRENGTH_BETA * scale)
+    return sp.coo_matrix((np.ones(np.count_nonzero(keep)),
+                          (Mc.row[keep], Mc.col[keep])), shape=(nb, nb)).tocsr()
 
 
-def aggregate_nodes(graph):
-    """Greedy aggregation over the strength graph.
+def aggregate_nodes(adj):
+    """Greedy aggregation over the strong-coupling adjacency `adj`.
 
     Returns (aggregate_ids, flags): a root-node pass, absorption of leftovers
     into neighboring aggregates, then forced pairwise aggregation if the graph
@@ -334,8 +326,7 @@ def aggregate_nodes(graph):
     fixed node is isolated and the flag fires on uniform designs too (on a
     uniform 96x48 cantilever the 49 isolated nodes are its 49 fixed nodes).
     """
-    adj = graph.adjacency
-    n = graph.n_nodes
+    n = adj.shape[0]
     agg = np.full(n, -1, dtype=np.int64)
     indptr, indices = adj.indptr, adj.indices
     n_agg = 0
@@ -360,7 +351,7 @@ def aggregate_nodes(graph):
             agg[i] = agg[placed[0]]
     flags = []
     unplaced = np.flatnonzero(agg == -1)
-    if n_agg == 0 or (n_agg + unplaced.size) >= n:
+    if n_agg == 0:
         # degenerate strength graph: force pairwise aggregation by index
         agg = np.arange(n) // 2
         flags.append("forced_pairwise_aggregation")
@@ -374,36 +365,18 @@ def aggregate_nodes(graph):
     return agg, flags
 
 
-def _merge_small_aggregates(agg, adj, min_size):
-    """Merge aggregates below min_size into a strongly connected neighbor.
+def _merge_small_aggregates(agg, min_size):
+    """Fold aggregates below min_size into an index-adjacent aggregate.
 
     Undersized aggregates would yield rank-deficient tentative-prolongation
-    blocks (zero coarse columns), so any survivor of the strength-based pass is
-    merged into an index-adjacent aggregate as a fallback.
+    blocks (zero coarse columns). Every aggregate of `aggregate_nodes` but its
+    isolated singletons has at least 2 nodes, and a singleton has no strong
+    neighbor to join, so for the min_size of 2 that rigid-body candidates give
+    the index neighbor is the only merge target.
     """
-    sizes = np.bincount(agg)
-    small = np.flatnonzero(sizes < min_size)
-    if small.size == 0:
+    if np.all(np.bincount(agg) >= min_size):
         return agg
     agg = agg.copy()
-    sizes = sizes.copy()
-    indptr, indices = adj.indptr, adj.indices
-    for a in small:
-        members = np.flatnonzero(agg == a)
-        target = -1
-        for i in members:
-            for j in indices[indptr[i]:indptr[i + 1]]:
-                if agg[j] != a and sizes[agg[j]] >= min_size:
-                    target = agg[j]
-                    break
-            if target != -1:
-                break
-        if target != -1:
-            agg[members] = target
-            sizes[target] += members.size
-            sizes[a] = 0
-    _, agg = np.unique(agg, return_inverse=True)
-    # fallback: fold remaining small aggregates into an index neighbor
     while True:
         sizes = np.bincount(agg)
         if sizes.size < 2:
@@ -451,13 +424,13 @@ def tentative_prolongation(agg, near_nullspace, block_size):
     return T, Bc
 
 
-def estimate_spectral_radius(op, n, iterations=10, seed=0):
+def estimate_spectral_radius(op, n, seed=0):
     """Power-method estimate of the spectral radius of the operator v -> op(v)
     on vectors of size n."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     lam = 1.0
-    for _ in range(iterations):
+    for _ in range(POWER_ITERATIONS):
         v /= np.linalg.norm(v)
         v = op(v)
         lam = float(np.linalg.norm(v))
@@ -475,17 +448,16 @@ def smoothed_prolongation(A, T, seed=0):
 
 
 def _sa_levels(A, near_nullspace, coarse_max_dofs, smoother, block_size, flags,
-               max_levels=30, seed=0):
+               seed=0):
     """Append smoothed-aggregation levels until the coarse bound is met."""
     levels = []
     B = near_nullspace
     nvec = B.shape[1]
-    while A.shape[0] > coarse_max_dofs and len(levels) < max_levels:
+    while A.shape[0] > coarse_max_dofs and len(levels) < MAX_SA_LEVELS:
         min_nodes = max(2, -(-nvec // block_size))
-        graph = strength_of_connection(A, DEFAULT_STRENGTH_BETA, block_size)
-        agg, agg_flags = aggregate_nodes(graph)
+        agg, agg_flags = aggregate_nodes(strength_of_connection(A, block_size))
         flags.extend(agg_flags)
-        agg = _merge_small_aggregates(agg, graph.adjacency, min_nodes)
+        agg = _merge_small_aggregates(agg, min_nodes)
         n_agg = int(agg.max()) + 1
         if n_agg * nvec >= A.shape[0]:
             flags.append("aggregation_stalled")

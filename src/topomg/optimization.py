@@ -18,6 +18,18 @@ from .mesh import (assemble_stiffness, assemble_stress_stiffness, element_stiffn
 from .multigrid import (AdaptiveHybridController, SmootherConfig, adapt_after_solve,
                         build_hybrid, gmg_level_dims)
 
+# exponent of the p-norm aggregate of the buckling eigenvalues
+P_NORM = 8
+# MMA (Svanberg 1987): design bounds, move limit as a fraction of their span,
+# the initial asymptote distance and the asymptote growth and shrink factors
+# on non-oscillating and oscillating variables, and the dual bisection steps
+MMA_XMIN, MMA_XMAX = 0.0, 1.0
+MMA_MOVE_LIMIT = 0.2
+MMA_ASYMPTOTE_INIT = 0.5
+MMA_ASYMPTOTE_GROW = 1.2
+MMA_ASYMPTOTE_SHRINK = 0.7
+MMA_BISECTION_ITERATIONS = 100
+
 
 @dataclass
 class DesignState:
@@ -140,43 +152,48 @@ def compliance_and_sensitivity(mesh, bc, filt, law, alpha, harness, u0=None):
     return F, dF_dalpha, aux
 
 
-def adjoint_rhs(mesh, u, phi, element_sigma_moduli, fixed_dofs=None):
+def _mode_contractions(mesh, phi):
+    """(n_el, nd) array of phi_e^T G[k] phi_e, with G the geometric stiffness
+    tensor: one product of the elements' outer products phi_e phi_e^T with G."""
+    phie = phi[mesh.element_dofs()]
+    nd = phie.shape[1]
+    outer = (phie[:, :, None] * phie[:, None, :]).reshape(-1, nd * nd)
+    return outer @ geometric_stiffness_tensor(mesh).reshape(nd, nd * nd).T
+
+
+def adjoint_rhs(mesh, phi, element_sigma_moduli, fixed_dofs=None):
     """Right-hand side Phi^T (dK_sigma/du) Phi of the eigen-adjoint equation."""
     edof = mesh.element_dofs()
-    phie = phi[edof]
-    ge = np.einsum("kij,ei,ej->ek", geometric_stiffness_tensor(mesh), phie, phie)
+    ge = _mode_contractions(mesh, phi)
     ge *= np.asarray(element_sigma_moduli, dtype=float)[:, None]
-    rhs = np.zeros(mesh.total_dofs)
-    np.add.at(rhs, edof.ravel(), ge.ravel())
+    rhs = np.bincount(edof.ravel(), ge.ravel(), mesh.total_dofs)
     if fixed_dofs is not None:
         rhs[np.asarray(fixed_dofs, dtype=np.int64)] = 0.0
     return rhs
 
 
-def eigenvalue_sensitivity(mesh, bc, law, stress_law, rho, u, lam, phi, v):
+def eigenvalue_sensitivity(mesh, law, stress_law, rho, u, lam, phi, v):
     """d(lambda)/d(rho) for one K-normalized buckling mode, adjoint term included."""
     ke = element_stiffness(mesh, 1.0)
-    tensor = geometric_stiffness_tensor(mesh)
     edof = mesh.element_dofs()
     ue = u[edof]
     phie = phi[edof]
-    ve = v[edof]
-    geo_quad = np.einsum("ek,kij,ei,ej->e", ue, tensor, phie, phie)
-    stiff_quad = np.einsum("ei,ij,ej->e", phie, ke, phie)
-    cross = np.einsum("ei,ij,ej->e", ve, ke, ue)
+    geo_quad = np.sum(ue * _mode_contractions(mesh, phi), axis=1)
+    stiff_quad = np.sum((phie @ ke) * phie, axis=1)
+    cross = np.sum((v[edof] @ ke) * ue, axis=1)
     dE = law.modulus_derivative(rho)
     dEs = stress_law.modulus_derivative(rho)
     return dEs * geo_quad - lam * dE * stiff_quad - dE * cross
 
 
-def pnorm_aggregate(lams, p=8):
+def pnorm_aggregate(lams, p=P_NORM):
     lams = np.asarray(lams, dtype=float)
     return float((np.sum(lams ** p)) ** (1.0 / p))
 
 
 def stability_objective_and_sensitivity(mesh, bc, filt, law, stress_law, alpha,
                                         harness, eig_cfg=None, u0=None,
-                                        initial_space=None, p_norm=8):
+                                        initial_space=None):
     """Aggregated buckling objective F = (sum lambda_i^8)^(1/8) and dF/dalpha.
 
     One adjoint solve per mode, all started from zero. Returns (F, dF/dalpha, aux)
@@ -202,16 +219,16 @@ def stability_objective_and_sensitivity(mesh, bc, filt, law, stress_law, alpha,
     t_adj = time.perf_counter()
     for i in range(n_used):
         phi = eig.eigenvectors[:, i]
-        rhs = adjoint_rhs(mesh, u, phi, Es, bc.fixed_dofs)
+        rhs = adjoint_rhs(mesh, phi, Es, bc.fixed_dofs)
         v, arec, _ = harness.solve(K, rhs, x0=None, hierarchy=hierarchy)
         _check_converged("adjoint solve %d" % i, arec)
         adjoint_iters += arec.iterations
-        dlam[i] = eigenvalue_sensitivity(mesh, bc, law, stress_law, rho, u,
+        dlam[i] = eigenvalue_sensitivity(mesh, law, stress_law, rho, u,
                                          eig.eigenvalues[i], phi, v)
     t_adj = time.perf_counter() - t_adj
     lams = eig.eigenvalues
-    F = pnorm_aggregate(lams, p_norm)
-    weights = F ** (1 - p_norm) * lams ** (p_norm - 1)
+    F = pnorm_aggregate(lams, P_NORM)
+    weights = F ** (1 - P_NORM) * lams ** (P_NORM - 1)
     dF_drho = weights @ dlam
     dF_dalpha = filt.apply_transpose(dF_drho)
     aux = {"u": u, "K": K, "Ks": Ks, "record": rec, "hierarchy": hierarchy,
@@ -232,15 +249,9 @@ class MmaState:
     upp: np.ndarray | None = None
     x_prev1: np.ndarray | None = None
     x_prev2: np.ndarray | None = None
-    iteration: int = 0
-    move_limit: float = 0.2
-    asymptote_init: float = 0.5
-    asymptote_grow: float = 1.2
-    asymptote_shrink: float = 0.7
 
 
-def mma_update(x, dfdx, g, dgdx, state, xmin=0.0, xmax=1.0,
-               bisection_iterations=100):
+def mma_update(x, dfdx, g, dgdx, state):
     """One MMA step with a single inequality constraint, solved in the dual.
 
     g and dgdx describe the constraint g(x) <= 0 linearized at x. Returns the
@@ -251,22 +262,22 @@ def mma_update(x, dfdx, g, dgdx, state, xmin=0.0, xmax=1.0,
     dgdx = np.asarray(dgdx, dtype=float)
     if not (np.all(np.isfinite(dfdx)) and np.all(np.isfinite(dgdx))):
         raise ValueError("non-finite sensitivities passed to MMA")
-    span = xmax - xmin
-    if state.iteration < 2 or state.low is None:
-        low = x - state.asymptote_init * span
-        upp = x + state.asymptote_init * span
+    span = MMA_XMAX - MMA_XMIN
+    if state.x_prev2 is None:
+        low = x - MMA_ASYMPTOTE_INIT * span
+        upp = x + MMA_ASYMPTOTE_INIT * span
     else:
         osc = (x - state.x_prev1) * (state.x_prev1 - state.x_prev2)
-        gamma = np.where(osc > 0, state.asymptote_grow,
-                         np.where(osc < 0, state.asymptote_shrink, 1.0))
+        gamma = np.where(osc > 0, MMA_ASYMPTOTE_GROW,
+                         np.where(osc < 0, MMA_ASYMPTOTE_SHRINK, 1.0))
         low = x - gamma * (state.x_prev1 - state.low)
         upp = x + gamma * (state.upp - state.x_prev1)
         low = np.clip(low, x - 10.0 * span, x - 0.01 * span)
         upp = np.clip(upp, x + 0.01 * span, x + 10.0 * span)
 
-    move = state.move_limit * span
-    alfa = np.maximum.reduce([np.full_like(x, xmin), low + 0.1 * (x - low), x - move])
-    beta = np.minimum.reduce([np.full_like(x, xmax), upp - 0.1 * (upp - x), x + move])
+    move = MMA_MOVE_LIMIT * span
+    alfa = np.maximum.reduce([np.full_like(x, MMA_XMIN), low + 0.1 * (x - low), x - move])
+    beta = np.minimum.reduce([np.full_like(x, MMA_XMAX), upp - 0.1 * (upp - x), x + move])
 
     raa0 = 1e-5
     df_pos = np.maximum(dfdx, 0.0)
@@ -303,7 +314,7 @@ def mma_update(x, dfdx, g, dgdx, state, xmin=0.0, xmax=1.0,
             if grow > 60:
                 raise RuntimeError("MMA dual bracket expansion failed; state: "
                                    f"g={g:.3e}, mu_hi={mu_hi:.3e}")
-        for _ in range(bisection_iterations):
+        for _ in range(MMA_BISECTION_ITERATIONS):
             mu = 0.5 * (mu_lo + mu_hi)
             if constraint(mu) > 0.0:
                 mu_lo = mu
@@ -315,7 +326,6 @@ def mma_update(x, dfdx, g, dgdx, state, xmin=0.0, xmax=1.0,
     state.upp = upp
     state.x_prev2 = state.x_prev1
     state.x_prev1 = x.copy()
-    state.iteration += 1
     return x_new
 
 
@@ -333,8 +343,6 @@ class OptimizationProblem:
     harness: SolverHarness
     mode: str = "compliance"  # compliance | stability
     eig_cfg: DavidsonConfig | None = None
-    e_max: float = 1.0
-    alpha0: np.ndarray | None = None
 
 
 def run_optimization(problem, callback=None):
@@ -345,8 +353,7 @@ def run_optimization(problem, callback=None):
     """
     mesh = problem.mesh
     n_el = mesh.element_count
-    alpha = (problem.alpha0.copy() if problem.alpha0 is not None
-             else np.full(n_el, problem.volume_fraction))
+    alpha = np.full(n_el, problem.volume_fraction)
     mma = MmaState()
     history = []
     u_prev = None
@@ -354,13 +361,13 @@ def run_optimization(problem, callback=None):
     volume_grad = problem.filt.apply_transpose(np.full(n_el, 1.0 / n_el))
     state = None
     for step, penalty in enumerate(problem.schedule.flat()):
-        law = SimpLaw(e_max=problem.e_max, penalty=penalty)
+        law = SimpLaw(penalty=penalty)
         if problem.mode == "compliance":
             F, dF, aux = compliance_and_sensitivity(
                 mesh, problem.bc, problem.filt, law, alpha, problem.harness,
                 u0=u_prev)
         else:
-            stress_law = StressSimpLaw(e_max=problem.e_max, penalty=penalty)
+            stress_law = StressSimpLaw(penalty=penalty)
             F, dF, aux = stability_objective_and_sensitivity(
                 mesh, problem.bc, problem.filt, law, stress_law, alpha,
                 problem.harness, problem.eig_cfg, u0=u_prev,

@@ -206,7 +206,7 @@ def test_04_multigrid_invariants():
     # tentative prolongation reproduces the near-nullspace
     g = strength_of_connection(K, block_size=2)
     agg, _ = aggregate_nodes(g)
-    agg = _merge_small_aggregates(agg, g.adjacency, 2)
+    agg = _merge_small_aggregates(agg, 2)
     T, Bc = tentative_prolongation(agg, B, block_size=2)
     nns = float(np.max(np.abs(T @ Bc - B)))
     # V-cycle linearity with the (stationary) Jacobi smoother

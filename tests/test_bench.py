@@ -62,6 +62,11 @@ def test_grid_width_exceeding_pitch_rejected():
         GridSpec(domain=64, feature_width=8, column_pitch=4, beam_pitch=16)
 
 
+def test_grid_width_exceeding_domain_rejected():
+    with pytest.raises(ValueError):
+        GridSpec(domain=4, feature_width=8, column_pitch=8, beam_pitch=8)
+
+
 # ---------------------------------------------------------------------------
 # problem builders
 # ---------------------------------------------------------------------------
@@ -262,6 +267,20 @@ def test_cli_solver_method_rejected_exit_1(tmp_path):
     # the Krylov method follows the smoother; a config cannot choose it
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"problem": "cantilever2d", "solver": {"method": "fgmres"}}))
+    out = cli("run", str(bad))
+    assert out.returncode == 1
+    assert "invalid configuration" in out.stderr
+
+
+# small runs, so that a typo the schema let through would finish quickly
+@pytest.mark.parametrize("raw", [
+    {**SMALL_RUN, "preconditoner": {"strategy": "gmg"}},
+    {**SMALL_RUN, "preconditioner": {"strategy": "hybrid", "ngeo": 1}},
+    {"problem": "grid_diagnostic", "grid": {"domain": 24, "pitch": [8]}},
+])
+def test_cli_misspelled_key_exit_1(tmp_path, raw):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**raw, "output_dir": str(tmp_path / "out")}))
     out = cli("run", str(bad))
     assert out.returncode == 1
     assert "invalid configuration" in out.stderr

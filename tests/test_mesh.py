@@ -355,6 +355,11 @@ def test_boundary_conditions_zero_load_on_fixed():
         BoundaryConditions(np.array([12]), f)
 
 
+def test_boundary_conditions_reject_negative_dof():
+    with pytest.raises(ValueError):
+        BoundaryConditions(np.array([-1, 0]), np.ones(12))
+
+
 # ---------------------------------------------------------------------------
 # stress stiffness
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ from topomg.bench import cantilever2d_problem
 from topomg.material import SimpLaw
 from topomg.mesh import (BoundaryConditions, assemble_stiffness, build_mesh,
                          rigid_body_modes)
-from topomg.multigrid import (DEFAULT_STRENGTH_BETA, AdaptiveHybridController,
-                              SmootherConfig, _merge_small_aggregates,
-                              adapt_after_solve, aggregate_nodes, build_gmg,
-                              build_hybrid, build_sa_amg, geometric_prolongation,
+from topomg.multigrid import (AdaptiveHybridController, SmootherConfig,
+                              _merge_small_aggregates, adapt_after_solve,
+                              aggregate_nodes, build_gmg, build_hybrid,
+                              build_sa_amg, geometric_prolongation,
                               gmg_level_dims, make_smoother,
                               strength_of_connection, tentative_prolongation)
 from topomg.optimization import SolverHarness
@@ -101,12 +101,12 @@ def test_gmg_symmetry_every_level():
 
 def test_strength_rule_scalar():
     K = sp.csr_matrix(np.array([[1.0, 0.06], [0.06, 1.0]]))
-    g = strength_of_connection(K, beta=0.003, block_size=1)
-    assert g.adjacency[0, 1] != 0  # 0.0036 > 0.003
+    adj = strength_of_connection(K, block_size=1)
+    assert adj[0, 1] != 0  # 0.0036 > 0.003
 
     K = sp.csr_matrix(np.array([[1.0, 0.05], [0.05, 1.0]]))
-    g = strength_of_connection(K, beta=0.003, block_size=1)
-    assert g.adjacency.nnz == 0  # 0.0025 < 0.003
+    adj = strength_of_connection(K, block_size=1)
+    assert adj.nnz == 0  # 0.0025 < 0.003
 
 
 def test_strength_zero_diagonal_errors():
@@ -118,9 +118,8 @@ def test_strength_zero_diagonal_errors():
 def test_strength_uniform_lattice_all_neighbors_strong():
     mesh = build_mesh([3, 3], [1.0, 1.0])
     K = assemble_stiffness(mesh, None, np.ones(9))
-    g = strength_of_connection(K, beta=0.003, block_size=2)
+    adj = strength_of_connection(K, block_size=2).toarray()
     coords = mesh.node_coordinates()
-    adj = g.adjacency.toarray()
     # exhaustive check of the rule against geometric nearest neighbors
     for i in range(16):
         for j in range(16):
@@ -134,8 +133,7 @@ def test_strength_uniform_lattice_all_neighbors_strong():
 def test_strength_no_self_loops_and_symmetric():
     mesh = build_mesh([4, 2], [1.0, 1.0])
     K = assemble_stiffness(mesh, None, np.ones(8))
-    g = strength_of_connection(K, block_size=2)
-    adj = g.adjacency.toarray()
+    adj = strength_of_connection(K, block_size=2).toarray()
     assert np.all(np.diag(adj) == 0)
     assert np.array_equal(adj != 0, adj.T != 0)
 
@@ -149,9 +147,9 @@ def test_aggregation_degenerate_forced_pairwise():
 
 def test_aggregation_fewer_aggregates_than_nodes():
     mesh, bc, K = cantilever_k((6, 4))
-    g = strength_of_connection(K, block_size=2)
-    agg, flags = aggregate_nodes(g)
-    assert int(agg.max()) + 1 < g.n_nodes
+    adj = strength_of_connection(K, block_size=2)
+    agg, flags = aggregate_nodes(adj)
+    assert int(agg.max()) + 1 < adj.shape[0]
     assert np.all(agg >= 0)
 
 
@@ -178,7 +176,7 @@ def test_tentative_prolongation_reproduces_candidates():
     B = rigid_body_modes(mesh, bc.fixed_dofs)
     g = strength_of_connection(K, block_size=2)
     agg, _ = aggregate_nodes(g)
-    agg = _merge_small_aggregates(agg, g.adjacency, min_size=2)
+    agg = _merge_small_aggregates(agg, min_size=2)
     T, Bc = tentative_prolongation(agg, B, block_size=2)
     assert np.max(np.abs(T @ Bc - B)) <= 1e-10
 
@@ -212,8 +210,7 @@ def cantilever_designs(draw):
 @given(cantilever_designs())
 def test_merged_aggregates_are_contiguous_and_reproduce_candidates(case):
     mesh, bc, K, _ = case
-    graph = strength_of_connection(K, DEFAULT_STRENGTH_BETA, 2)
-    agg = _merge_small_aggregates(aggregate_nodes(graph)[0], graph.adjacency, 2)
+    agg = _merge_small_aggregates(aggregate_nodes(strength_of_connection(K, 2))[0], 2)
     assert np.array_equal(np.unique(agg), np.arange(agg.max() + 1))
     assert np.bincount(agg).min() >= 2
     B = rigid_body_modes(mesh, bc.fixed_dofs)
