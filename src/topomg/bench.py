@@ -8,6 +8,7 @@ compliance, 2D column stability, the varying-spaced grid diagnostic, and the
 import csv
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -99,7 +100,8 @@ CONFIG_SCHEMA = {
             "properties": {
                 "domain": {"type": "integer", "minimum": 2},
                 "feature_width": {"type": "integer", "minimum": 1},
-                "pitches": {"type": "array", "items": {"type": "integer"}},
+                "pitches": {"type": "array", "minItems": 1,
+                            "items": {"type": "integer", "minimum": 1}},
             },
         },
         "seed": {"type": "integer"},
@@ -381,7 +383,7 @@ def run_benchmark(cfg):
         else:
             written += _run_optimization_benchmark(cfg)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print("benchmark failed: %s" % exc)
+        print("benchmark failed: %s" % exc, file=sys.stderr)
         return 2, written
     return 0, written
 
@@ -398,15 +400,19 @@ def _run_grid_diagnostic(cfg):
         fh.write(GRID_CSV_HEADER + "\n")
         for r in rows:
             fh.write(grid_csv_row(r) + "\n")
-    return [path, _write_hierarchy_summary(cfg.output_dir, rows[-1]["hierarchy"])]
+    return [path] + _write_hierarchy_summary(cfg.output_dir, rows[-1]["hierarchy"])
 
 
 def _write_hierarchy_summary(output_dir, hierarchy):
-    """Write hierarchy.summary() to hierarchy_summary.json; returns its path."""
+    """Write hierarchy.summary() to hierarchy_summary.json; returns the
+    written paths, none for strategy 'none' (no hierarchy)."""
+    if hierarchy is None:
+        return []
+    summary = hierarchy.summary()
     path = os.path.join(output_dir, "hierarchy_summary.json")
     with open(path, "w") as fh:
-        json.dump(hierarchy.summary(), fh, indent=2)
-    return path
+        json.dump(summary, fh, indent=2)
+    return [path]
 
 
 def _run_optimization_benchmark(cfg):
@@ -418,10 +424,10 @@ def _run_optimization_benchmark(cfg):
                                   schedule=cfg.schedule,
                                   volume_fraction=cfg.volume_fraction,
                                   harness=harness, mode=mode, eig_cfg=cfg.eigen)
-    last_hierarchy = []
+    last_hierarchy = [None]
 
     def keep_hierarchy(step, state, aux):
-        last_hierarchy[:] = [aux["hierarchy"]]
+        last_hierarchy[0] = aux["hierarchy"]
 
     history, state = run_optimization(problem, callback=keep_hierarchy)
     csv_path = os.path.join(cfg.output_dir, "iterations.csv")
@@ -430,9 +436,7 @@ def _run_optimization_benchmark(cfg):
     written = [csv_path,
                os.path.join(cfg.output_dir, "density.bin"),
                os.path.join(cfg.output_dir, "density.vtk")]
-    if last_hierarchy and last_hierarchy[0] is not None:
-        written.append(_write_hierarchy_summary(cfg.output_dir, last_hierarchy[0]))
-    return written
+    return written + _write_hierarchy_summary(cfg.output_dir, last_hierarchy[0])
 
 
 # ---------------------------------------------------------------------------

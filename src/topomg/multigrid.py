@@ -178,6 +178,10 @@ class MgLevel:
     P: sp.csr_matrix | None
     provenance: str  # "geometric" | "algebraic"
     smoother: object | None = None  # correction operator r -> dx
+    # on algebraic levels but the coarsest: the tentative prolongation and the
+    # dofs per node of A, which a refresh (`build_hybrid`'s `like`) reuses
+    T: sp.csr_matrix | None = None
+    block_size: int | None = None
 
 
 @dataclass
@@ -463,14 +467,35 @@ def _sa_levels(A, near_nullspace, coarse_max_dofs, smoother, block_size, flags,
             flags.append("aggregation_stalled")
             break
         T, Bc = tentative_prolongation(agg, B, block_size)
-        P = smoothed_prolongation(A, T, seed=seed)
-        levels.append(MgLevel(A=A, P=P, provenance="algebraic",
-                              smoother=make_smoother(smoother, A, block_size)))
-        A = _galerkin(A, P)
+        A = _append_sa_level(levels, A, T, smoother, block_size, seed)
         B = Bc
         block_size = nvec  # coarse dofs come in candidate-sized nodal blocks
     levels.append(MgLevel(A=A, P=None, provenance="algebraic"))
     return levels
+
+
+def _refreshed_sa_levels(A, like, smoother, seed=0):
+    """The algebraic levels of `like` rebuilt on A: each keeps its tentative
+    prolongation T (so its aggregates and candidates) and smooths it afresh."""
+    levels = []
+    for old in like.levels:
+        if old.T is None:
+            continue
+        if old.T.shape[0] != A.shape[0]:
+            raise ValueError("`like` was built for operators of another size")
+        A = _append_sa_level(levels, A, old.T, smoother, old.block_size, seed)
+    levels.append(MgLevel(A=A, P=None, provenance="algebraic"))
+    return levels
+
+
+def _append_sa_level(levels, A, T, smoother, block_size, seed):
+    """Append the algebraic level of A with P smoothed from T; returns the
+    coarse operator."""
+    P = smoothed_prolongation(A, T, seed=seed)
+    levels.append(MgLevel(A=A, P=P, provenance="algebraic",
+                          smoother=make_smoother(smoother, A, block_size),
+                          block_size=block_size, T=T))
+    return _galerkin(A, P)
 
 
 def build_sa_amg(K, near_nullspace, coarse_max_dofs, smoother=None, seed=0):
@@ -483,13 +508,20 @@ def build_sa_amg(K, near_nullspace, coarse_max_dofs, smoother=None, seed=0):
 # ---------------------------------------------------------------------------
 
 def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
-                 seed=0):
+                 seed=0, like=None):
     """Geometric transfers on the finest n_geo levels, smoothed aggregation below.
 
     n_geo=0 is pure SA-AMG, the only case that reads `near_nullspace` (and
     may have mesh=None). n_geo=None is pure GMG, down to a geometric coarsest
     level. Otherwise aggregation starts from the rigid-body modes of the
     coarsest geometric grid.
+
+    `like` is a hierarchy built by this function for the same mesh, n_geo and
+    coarse bound. Its algebraic levels are refreshed rather than rebuilt: each
+    keeps like's tentative prolongation and only the work that depends on K
+    is redone (prolongation smoothing, Galerkin products, smoothers, coarse
+    LU). Strength and aggregation do not run, `near_nullspace` is not read and
+    the flags are like's.
     """
     if n_geo is not None and n_geo < 0:
         raise ValueError("n_geo must be >= 0, or None for pure GMG")
@@ -497,10 +529,11 @@ def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
     A = sp.csr_matrix(K)
     levels, flags = [], []
     if n_geo == 0:
-        B = np.asarray(near_nullspace, dtype=float)
-        if B.ndim != 2 or B.shape[0] != K.shape[0]:
-            raise ValueError("near_nullspace must be (ndofs, nvec)")
-        block_size = 2 if B.shape[1] == 3 else 3 if B.shape[1] == 6 else 1
+        if like is None:
+            B = np.asarray(near_nullspace, dtype=float)
+            if B.ndim != 2 or B.shape[0] != K.shape[0]:
+                raise ValueError("near_nullspace must be (ndofs, nvec)")
+            block_size = 2 if B.shape[1] == 3 else 3 if B.shape[1] == 6 else 1
     else:
         block_size = mesh.dofs_per_node
         plan = gmg_level_dims(mesh.dims, block_size, coarse_max_dofs)
@@ -521,7 +554,11 @@ def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
                 flags.append("geometric_coarsening_exhausted")
             B = rigid_body_modes(StructuredMesh(
                 plan[n_fine], tuple(h * 2 ** n_fine for h in mesh.element_size)))
-    if n_geo is not None:
+    if like is not None:
+        flags = list(like.flags)
+        if n_geo is not None:
+            levels += _refreshed_sa_levels(A, like, smoother, seed=seed)
+    elif n_geo is not None:
         levels += _sa_levels(A, B, coarse_max_dofs, smoother, block_size, flags,
                              seed=seed)
     lu = spla.splu(levels[-1].A.tocsc())

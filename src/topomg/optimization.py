@@ -1,8 +1,10 @@
 """Objectives, sensitivities, MMA updates, and the continuation-driven loop.
 
 Compliance minimization and buckling-stability optimization share the same
-machinery: filter the design, assemble operators, build a fresh multigrid
-preconditioner, solve (warm-started), differentiate, update with MMA.
+machinery: filter the design, assemble operators, build a multigrid
+preconditioner, solve (warm-started), differentiate, update with MMA. A pure
+AMG run aggregates once, at its first step; every later step re-smooths the
+kept tentative prolongations with its own operator.
 """
 
 import time
@@ -72,6 +74,8 @@ class SolverHarness:
 
     strategy: 'gmg' | 'amg' | 'hybrid' | 'hybrid_adaptive' | 'none'.
     The adaptive variant demotes geometric levels via the >200-iteration rule.
+    For 'amg' only, a previous hierarchy passed as `like` is refreshed on the
+    new operator instead of aggregating again (`build_hybrid`'s `like`).
     """
 
     mesh: object
@@ -91,7 +95,7 @@ class SolverHarness:
             start = max(2, min(self.n_geo, n_levels - 1))
             self.controller = AdaptiveHybridController(n_geo_current=start)
 
-    def build(self, K):
+    def build(self, K, like=None):
         """The strategy's point on the n_geo axis of `build_hybrid`, built;
         returns (hierarchy, or None for 'none', seconds)."""
         t0 = time.perf_counter()
@@ -102,16 +106,21 @@ class SolverHarness:
         if self.strategy not in by_strategy:
             raise ValueError("unknown preconditioner strategy %r" % self.strategy)
         n_geo = by_strategy[self.strategy]
-        B = rigid_body_modes(self.mesh, self.fixed_dofs) if n_geo == 0 else None
+        if self.strategy != "amg":
+            like = None  # only pure AMG keeps its aggregates between builds
+        B = None
+        if n_geo == 0 and like is None:
+            B = rigid_body_modes(self.mesh, self.fixed_dofs)
         h = build_hybrid(self.mesh, K, B, n_geo, self.coarse_max_dofs, self.smoother,
-                         seed=self.seed)
+                         seed=self.seed, like=like)
         return h, time.perf_counter() - t0
 
-    def solve(self, K, f, x0=None, hierarchy=None):
-        """Solve K x = f; returns (x, SolveRecord, hierarchy)."""
+    def solve(self, K, f, x0=None, hierarchy=None, like=None):
+        """Solve K x = f; returns (x, SolveRecord, hierarchy). Without
+        `hierarchy`, one is built for K, refreshed from `like` if given."""
         setup = 0.0
         if hierarchy is None and self.strategy != "none":
-            hierarchy, setup = self.build(K)
+            hierarchy, setup = self.build(K, like)
         M = hierarchy.apply if hierarchy is not None else None
         # a nonstationary smoother makes the V-cycle change between
         # applications, which only flexible GMRES allows
@@ -134,16 +143,18 @@ def element_strain_energies(mesh, u):
     return np.einsum("ei,ij,ej->e", ue, element_stiffness(mesh, 1.0), ue)
 
 
-def compliance_and_sensitivity(mesh, bc, filt, law, alpha, harness, u0=None):
+def compliance_and_sensitivity(mesh, bc, filt, law, alpha, harness, u0=None,
+                               like=None):
     """Compliance F = f^T u and its design sensitivity via the adjoint identity.
 
     Returns (F, dF/dalpha, aux) where aux carries u, K, the solve record and
-    the hierarchy for reuse. Raises SolveFailed if the solve does not converge.
+    the hierarchy for reuse; `like` goes to `SolverHarness.solve`. Raises
+    SolveFailed if the solve does not converge.
     """
     rho = filt.apply(alpha)
     E = law.modulus(rho)
     K = assemble_stiffness(mesh, bc, E)
-    u, rec, hierarchy = harness.solve(K, bc.load_vector, u0)
+    u, rec, hierarchy = harness.solve(K, bc.load_vector, u0, like=like)
     _check_converged("displacement solve", rec)
     F = float(bc.load_vector @ u)
     dF_drho = -law.modulus_derivative(rho) * element_strain_energies(mesh, u)
@@ -193,19 +204,20 @@ def pnorm_aggregate(lams, p=P_NORM):
 
 def stability_objective_and_sensitivity(mesh, bc, filt, law, stress_law, alpha,
                                         harness, eig_cfg=None, u0=None,
-                                        initial_space=None):
+                                        initial_space=None, like=None):
     """Aggregated buckling objective F = (sum lambda_i^8)^(1/8) and dF/dalpha.
 
     One adjoint solve per mode, all started from zero. Returns (F, dF/dalpha, aux)
-    with the eigensolver result and solve records in aux. Raises SolveFailed if
-    the displacement solve, an adjoint solve or the eigensolve does not converge.
+    with the eigensolver result and solve records in aux; `like` goes to
+    `SolverHarness.solve`. Raises SolveFailed if the displacement solve, an
+    adjoint solve or the eigensolve does not converge.
     """
     eig_cfg = eig_cfg or DavidsonConfig()
     rho = filt.apply(alpha)
     E = law.modulus(rho)
     Es = stress_law.modulus(rho)
     K = assemble_stiffness(mesh, bc, E)
-    u, rec, hierarchy = harness.solve(K, bc.load_vector, u0)
+    u, rec, hierarchy = harness.solve(K, bc.load_vector, u0, like=like)
     _check_converged("displacement solve", rec)
     Ks = assemble_stress_stiffness(mesh, bc, u, Es)
     t_eig = time.perf_counter()
@@ -349,7 +361,9 @@ def run_optimization(problem, callback=None):
     """Continuation loop; returns (history, final DesignState).
 
     history is one dict per iteration with the timing/iteration columns used
-    by the benchmark CSV plus objective and volume.
+    by the benchmark CSV plus objective and volume. Each step's hierarchy is
+    built `like` the previous step's, so a pure AMG run aggregates only at
+    its first step; only the previous hierarchy is kept.
     """
     mesh = problem.mesh
     n_el = mesh.element_count
@@ -358,6 +372,7 @@ def run_optimization(problem, callback=None):
     history = []
     u_prev = None
     eig_prev = None
+    hier_prev = None
     volume_grad = problem.filt.apply_transpose(np.full(n_el, 1.0 / n_el))
     state = None
     for step, penalty in enumerate(problem.schedule.flat()):
@@ -365,13 +380,13 @@ def run_optimization(problem, callback=None):
         if problem.mode == "compliance":
             F, dF, aux = compliance_and_sensitivity(
                 mesh, problem.bc, problem.filt, law, alpha, problem.harness,
-                u0=u_prev)
+                u0=u_prev, like=hier_prev)
         else:
             stress_law = StressSimpLaw(penalty=penalty)
             F, dF, aux = stability_objective_and_sensitivity(
                 mesh, problem.bc, problem.filt, law, stress_law, alpha,
                 problem.harness, problem.eig_cfg, u0=u_prev,
-                initial_space=eig_prev)
+                initial_space=eig_prev, like=hier_prev)
             eig_prev = aux["eig"].eigenvectors
         u_prev = aux["u"]
         rho = aux["rho"]
@@ -380,7 +395,7 @@ def run_optimization(problem, callback=None):
                             objective=F, sensitivity_alpha=dF,
                             volume_fraction=vol)
         rec = aux["record"]
-        hier = aux["hierarchy"]
+        hier = hier_prev = aux["hierarchy"]
         row = {
             "step": step,
             "penalty": penalty,

@@ -286,6 +286,41 @@ def test_cli_misspelled_key_exit_1(tmp_path, raw):
     assert "invalid configuration" in out.stderr
 
 
+@pytest.mark.parametrize("pitches", [[], [0]])
+def test_cli_grid_pitches_empty_or_zero_exit_1(tmp_path, pitches):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"problem": "grid_diagnostic",
+                               "grid": {"domain": 16, "feature_width": 2,
+                                        "pitches": pitches},
+                               "output_dir": str(tmp_path / "out")}))
+    out = cli("run", str(bad))
+    assert out.returncode == 1
+    assert "invalid configuration" in out.stderr
+
+
+def test_cli_grid_diagnostic_without_preconditioner_writes_no_summary(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "grid_diagnostic",
+                               "preconditioner": {"strategy": "none"},
+                               "grid": {"domain": 16, "feature_width": 2,
+                                        "pitches": [4]},
+                               "output_dir": str(tmp_path / "out")}))
+    out = cli("run", str(cfg))
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "out" / "grid_results.csv").exists()
+    assert not (tmp_path / "out" / "hierarchy_summary.json").exists()
+
+
+def test_cli_run_failure_exit_2_on_stderr(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_RUN, "solver": {"max_iterations": 1},
+                               "output_dir": str(tmp_path / "out")}))
+    out = cli("run", str(cfg))
+    assert out.returncode == 2
+    assert "benchmark failed: displacement solve failed" in out.stderr
+    assert "benchmark failed" not in out.stdout
+
+
 def test_cli_run_and_report(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     raw = dict(SMALL_RUN)
