@@ -10,6 +10,7 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +19,9 @@ from . import krylov
 from .eigensolver import DavidsonConfig
 from .material import PenaltySchedule
 from .mesh import BoundaryConditions, build_filter, build_mesh
-from .multigrid import SmootherConfig
-from .optimization import OptimizationProblem, SolverHarness, run_optimization
+from .multigrid import SMOOTHER_KINDS, SmootherConfig
+from .optimization import (STRATEGIES, OptimizationProblem, SolverHarness,
+                           run_optimization)
 
 CSV_HEADER = ("step,penalty,strategy,levels,n_geo,setup_s,solve_s,solve_iters,"
               "eig_s,eig_iters,adjoint_s,adjoint_iters,objective,volume,flags")
@@ -27,88 +29,6 @@ CSV_HEADER = ("step,penalty,strategy,levels,n_geo,setup_s,solve_s,solve_iters,"
 GRID_CSV_HEADER = "pitch_x,pitch_y,strategy,iterations,setup_s,solve_s,converged,flags"
 
 VOID_DENSITY = 1e-10
-
-DEFAULT_RESOLUTIONS = {
-    "cantilever2d": (96, 48),
-    "column_stability": (64, 256),
-    "cantilever3d": (48, 24, 24),
-}
-
-# every object is closed, so a misspelled key fails validation
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["problem"],
-    "properties": {
-        "problem": {"enum": ["cantilever2d", "column_stability",
-                             "grid_diagnostic", "cantilever3d"]},
-        "resolution": {"type": "array", "items": {"type": "integer", "minimum": 1},
-                       "minItems": 2, "maxItems": 3},
-        "volume_fraction": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "schedule": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "start": {"type": "number"}, "stop": {"type": "number"},
-                "increment": {"type": "number"}, "steps_per_value": {"type": "integer"},
-                "stop2": {"type": "number"}, "increment2": {"type": "number"},
-                "steps2": {"type": "integer"},
-            },
-        },
-        "preconditioner": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "strategy": {"enum": ["gmg", "amg", "hybrid", "hybrid_adaptive", "none"]},
-                "coarse_max_dofs": {"type": "integer", "minimum": 1},
-                "n_geo": {"type": "integer", "minimum": 0},
-                "smoother": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"enum": ["weighted_jacobi", "block_jacobi",
-                                          "sor_chebyshev", "sor_gmres"]},
-                        "weight": {"type": "number"},
-                        "inner_iterations": {"type": "integer"},
-                    },
-                },
-            },
-        },
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "rtol": {"type": "number"},
-                "max_iterations": {"type": "integer"},
-                "restart": {"type": "integer"},
-            },
-        },
-        "eigen": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "j_min": {"type": "integer"}, "j_max": {"type": "integer"},
-                "n_modes": {"type": "integer"},
-                "rtol_residual": {"type": "number"},
-                "max_iterations": {"type": "integer"},
-            },
-        },
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "domain": {"type": "integer", "minimum": 2},
-                "feature_width": {"type": "integer", "minimum": 1},
-                "pitches": {"type": "array", "minItems": 1,
-                            "items": {"type": "integer", "minimum": 1}},
-            },
-        },
-        "seed": {"type": "integer"},
-        "output_dir": {"type": "string"},
-    },
-}
-
 
 # ---------------------------------------------------------------------------
 # problem setups
@@ -157,10 +77,90 @@ def cantilever3d_problem(dims):
                               mesh.node_index(nx, np.arange(ny + 1), 0), 2)
 
 
+# builder, default resolution (empty for the grid diagnostic, which grid.domain
+# sizes), volume fraction, GMRES rtol, and what a run does: a 'compliance' or
+# 'stability' optimization, or 'grid' lattice solves
+ProblemSpec = namedtuple("ProblemSpec", "builder resolution volume_fraction rtol mode")
 PROBLEMS = {
-    "cantilever2d": cantilever2d_problem,
-    "column_stability": column_problem,
-    "cantilever3d": cantilever3d_problem,
+    "cantilever2d": ProblemSpec(cantilever2d_problem, (96, 48), 0.4, 1e-7, "compliance"),
+    "column_stability": ProblemSpec(column_problem, (64, 256), 0.4, 1e-8, "stability"),
+    "grid_diagnostic": ProblemSpec(grid_problem, (), 0.4, 1e-8, "grid"),
+    "cantilever3d": ProblemSpec(cantilever3d_problem, (48, 24, 24), 0.12, 1e-7,
+                                "compliance"),
+}
+
+
+# every object is closed, so a misspelled key fails validation
+CONFIG_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["problem"],
+    "properties": {
+        "problem": {"enum": list(PROBLEMS)},
+        "resolution": {"type": "array", "items": {"type": "integer", "minimum": 1},
+                       "minItems": 2, "maxItems": 3},
+        "volume_fraction": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+        "schedule": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "start": {"type": "number"}, "stop": {"type": "number"},
+                "increment": {"type": "number"}, "steps_per_value": {"type": "integer"},
+                "stop2": {"type": "number"}, "increment2": {"type": "number"},
+                "steps2": {"type": "integer"},
+            },
+        },
+        "preconditioner": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "strategy": {"enum": list(STRATEGIES)},
+                "coarse_max_dofs": {"type": "integer", "minimum": 1},
+                "n_geo": {"type": "integer", "minimum": 0},
+                "smoother": {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "properties": {
+                        "kind": {"enum": list(SMOOTHER_KINDS)},
+                        "weight": {"type": "number"},
+                        "inner_iterations": {"type": "integer"},
+                    },
+                },
+            },
+        },
+        "solver": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "rtol": {"type": "number"},
+                "max_iterations": {"type": "integer"},
+                "restart": {"type": "integer"},
+            },
+        },
+        "eigen": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "j_min": {"type": "integer"}, "j_max": {"type": "integer"},
+                "n_modes": {"type": "integer"},
+                "rtol_residual": {"type": "number"},
+                "max_iterations": {"type": "integer"},
+            },
+        },
+        "grid": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "domain": {"type": "integer", "minimum": 2},
+                "feature_width": {"type": "integer", "minimum": 1},
+                "pitches": {"type": "array", "minItems": 1,
+                            "items": {"type": "integer", "minimum": 1}},
+            },
+        },
+        "seed": {"type": "integer"},
+        "output_dir": {"type": "string"},
+    },
 }
 
 
@@ -211,59 +211,62 @@ def generate_grid_structure(spec):
 # configuration
 # ---------------------------------------------------------------------------
 
+# a grid diagnostic's lattice: domain and feature width in elements, and the
+# column and beam pitches, every pair of which is solved
+GRID_DEFAULTS = {"domain": 264, "feature_width": 4, "pitches": (8, 16, 32, 64, 128)}
+
+
 @dataclass
 class BenchConfig:
     problem: str
     resolution: tuple | None = None
     volume_fraction: float | None = None
     schedule: PenaltySchedule = field(default_factory=PenaltySchedule)
-    strategy: str = "amg"
-    coarse_max_dofs: int = 200
-    n_geo: int = 2
+    strategy: str = SolverHarness.strategy
+    coarse_max_dofs: int = SolverHarness.coarse_max_dofs
+    n_geo: int = SolverHarness.n_geo
     smoother: SmootherConfig = field(default_factory=SmootherConfig)
     solver: krylov.SolveConfig | None = None
     eigen: DavidsonConfig = field(default_factory=DavidsonConfig)
-    grid: GridSpec | None = None
-    seed: int = 0
+    grid: dict | None = None
+    seed: int = SolverHarness.seed
     output_dir: str = "topomg_out"
 
     @classmethod
     def from_dict(cls, raw):
+        """The config of a schema-valid dict. A key that is not given takes the
+        default of its problem's PROBLEMS row, of GRID_DEFAULTS or of the field;
+        inputs that do not fit the problem raise ValueError."""
+        # imported here: at module level it would add ~4 MB to every importer of topomg
         import jsonschema
 
         jsonschema.validate(raw, CONFIG_SCHEMA)
-        problem = raw["problem"]
-        resolution = tuple(raw.get("resolution") or
-                           DEFAULT_RESOLUTIONS.get(problem, ()))
-        if problem == "grid_diagnostic" and "schedule" in raw:
-            raise ValueError("grid_diagnostic performs single solves; "
-                             "a penalty schedule is not allowed")
-        sched = PenaltySchedule(**raw.get("schedule", {}))
+        spec = PROBLEMS[raw["problem"]]
+        resolution = tuple(raw.get("resolution", spec.resolution))
+        if len(resolution) != len(spec.resolution):
+            raise ValueError("%s takes a resolution of %d values, not %r"
+                             % (raw["problem"], len(spec.resolution), list(resolution)))
         pre = raw.get("preconditioner", {})
-        smoother = SmootherConfig(**pre.get("smoother", {}))
-        default_rtol = 1e-7 if "cantilever" in problem else 1e-8
-        sol = raw.get("solver", {})
-        solver = krylov.SolveConfig(**{"rtol": default_rtol, **sol})
-        eigen = DavidsonConfig(**raw.get("eigen", {}))
-        grid = None
-        if problem == "grid_diagnostic":
-            g = raw.get("grid", {})
-            grid = {
-                "domain": g.get("domain", 264),
-                "feature_width": g.get("feature_width", 4),
-                "pitches": tuple(g.get("pitches", (8, 16, 32, 64, 128))),
-            }
-        volfrac = raw.get("volume_fraction")
-        if volfrac is None:
-            volfrac = 0.12 if problem == "cantilever3d" else 0.4
-        seed = int(os.environ.get("TOPOMG_SEED", raw.get("seed", 0)))
-        return cls(problem=problem, resolution=resolution,
-                   volume_fraction=volfrac, schedule=sched,
-                   strategy=pre.get("strategy", "amg"),
-                   coarse_max_dofs=pre.get("coarse_max_dofs", 200),
-                   n_geo=pre.get("n_geo", 2), smoother=smoother, solver=solver,
-                   eigen=eigen, grid=grid, seed=seed,
-                   output_dir=raw.get("output_dir", "topomg_out"))
+        given = {k: pre[k] for k in ("strategy", "coarse_max_dofs", "n_geo") if k in pre}
+        if "output_dir" in raw:
+            given["output_dir"] = raw["output_dir"]
+        seed = os.environ.get("TOPOMG_SEED", raw.get("seed"))
+        if seed is not None:
+            given["seed"] = int(seed)
+        if spec.mode == "grid":
+            if "schedule" in raw:
+                raise ValueError("grid_diagnostic performs single solves; "
+                                 "a penalty schedule is not allowed")
+            grid = given["grid"] = {**GRID_DEFAULTS, **raw.get("grid", {})}
+            grid["pitches"] = tuple(grid["pitches"])
+            smallest = min(grid["pitches"])
+            GridSpec(grid["domain"], grid["feature_width"], smallest, smallest)
+        return cls(problem=raw["problem"], resolution=resolution,
+                   volume_fraction=raw.get("volume_fraction", spec.volume_fraction),
+                   schedule=PenaltySchedule(**raw.get("schedule", {})),
+                   smoother=SmootherConfig(**pre.get("smoother", {})),
+                   solver=krylov.SolveConfig(**{"rtol": spec.rtol, **raw.get("solver", {})}),
+                   eigen=DavidsonConfig(**raw.get("eigen", {})), **given)
 
     def resolved(self):
         """JSON-serializable echo of the full configuration (the run manifest)."""
@@ -271,7 +274,8 @@ class BenchConfig:
             "problem": self.problem,
             "resolution": list(self.resolution or ()),
             "volume_fraction": self.volume_fraction,
-            "schedule": vars(self.schedule).copy() if self.problem != "grid_diagnostic" else None,
+            "schedule": (vars(self.schedule).copy()
+                         if PROBLEMS[self.problem].mode != "grid" else None),
             "preconditioner": {
                 "strategy": self.strategy,
                 "coarse_max_dofs": self.coarse_max_dofs,
@@ -378,7 +382,7 @@ def run_benchmark(cfg):
         json.dump(cfg.resolved(), fh, indent=2, default=str)
     written.append(manifest_path)
     try:
-        if cfg.problem == "grid_diagnostic":
+        if PROBLEMS[cfg.problem].mode == "grid":
             written += _run_grid_diagnostic(cfg)
         else:
             written += _run_optimization_benchmark(cfg)
@@ -416,14 +420,14 @@ def _write_hierarchy_summary(output_dir, hierarchy):
 
 
 def _run_optimization_benchmark(cfg):
-    mesh, bc = PROBLEMS[cfg.problem](cfg.resolution)
+    spec = PROBLEMS[cfg.problem]
+    mesh, bc = spec.builder(cfg.resolution)
     filt = build_filter(mesh, 1.5)
     harness = _make_harness(cfg, mesh, bc)
-    mode = "stability" if cfg.problem == "column_stability" else "compliance"
     problem = OptimizationProblem(mesh=mesh, bc=bc, filt=filt,
                                   schedule=cfg.schedule,
                                   volume_fraction=cfg.volume_fraction,
-                                  harness=harness, mode=mode, eig_cfg=cfg.eigen)
+                                  harness=harness, mode=spec.mode, eig_cfg=cfg.eigen)
     last_hierarchy = [None]
 
     def keep_hierarchy(step, state, aux):
@@ -446,10 +450,12 @@ def _run_optimization_benchmark(cfg):
 def compare_report(csv_paths):
     """Ratio tables (first strategy / second strategy) for iterations and time.
 
-    Accepts per-iteration CSVs or grid-diagnostic CSVs; all inputs must share a
+    Accepts exactly two per-iteration CSVs or two grid-diagnostic CSVs of one
     schema. Returns {'key_columns', 'rows'} where each row carries the key plus
-    iteration and time ratios.
+    iteration and time ratios, in numeric order of the key.
     """
+    if len(csv_paths) != 2:
+        raise ValueError("compare_report takes two CSV files, not %d" % len(csv_paths))
     tables = []
     headers = []
     for path in csv_paths:
@@ -472,7 +478,7 @@ def compare_report(csv_paths):
             key = tuple(r[k] for k in key_cols)
             merged.setdefault(key, []).append(r)
     out_rows = []
-    for key, rows in sorted(merged.items()):
+    for key, rows in sorted(merged.items(), key=lambda kv: [float(k) for k in kv[0]]):
         if len(rows) < 2:
             continue
         a, b = rows[0], rows[1]

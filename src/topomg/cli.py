@@ -8,7 +8,18 @@ import argparse
 import json
 import sys
 
+import jsonschema
+
 from . import bench
+from .optimization import STRATEGIES
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error; argparse's 2 is a failed run's code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
 def _load_config(path, output_override):
@@ -31,13 +42,10 @@ def _cmd_run(args):
         return 1
     try:
         cfg = _load_config(args.config, args.output)
-    except FileNotFoundError:
-        print("error: config file not found: %s" % args.config, file=sys.stderr)
+    except OSError as exc:
+        print("error: cannot read config file: %s" % exc, file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, ValueError) as exc:
-        print("error: invalid configuration: %s" % exc, file=sys.stderr)
-        return 1
-    except Exception as exc:  # jsonschema.ValidationError without the import
+    except (ValueError, jsonschema.ValidationError) as exc:
         print("error: invalid configuration: %s" % exc, file=sys.stderr)
         return 1
     code, written = bench.run_benchmark(cfg)
@@ -47,20 +55,23 @@ def _cmd_run(args):
 
 
 def _cmd_grid(args):
-    raw = {
-        "problem": "grid_diagnostic",
-        "preconditioner": {"strategy": args.strategy},
-        "grid": {"domain": args.domain, "feature_width": args.width,
-                 "pitches": [args.pitch_x]},
-        "output_dir": args.output,
-    }
+    given = vars(args)  # only the flags given: the rest take the config's defaults
+
+    def pick(*keys):
+        return {k: given[k] for k in keys if k in given}
+
+    raw = {"problem": "grid_diagnostic",
+           "grid": {"pitches": [args.pitch_x, args.pitch_y],
+                    **pick("domain", "feature_width")},
+           "preconditioner": pick("strategy"), **pick("output_dir")}
     try:
         cfg = bench.BenchConfig.from_dict(raw)
-        result = bench.run_grid_point(cfg, args.pitch_x, args.pitch_y)
-    except ValueError as exc:
+    except (ValueError, jsonschema.ValidationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except Exception as exc:
+    try:
+        result = bench.run_grid_point(cfg, args.pitch_x, args.pitch_y)
+    except Exception as exc:  # noqa: BLE001 - CLI boundary
         print("grid solve failed: %s" % exc, file=sys.stderr)
         return 2
     print(bench.GRID_CSV_HEADER)
@@ -74,10 +85,7 @@ def _cmd_grid(args):
 def _cmd_report(args):
     try:
         report = bench.compare_report(args.csv)
-    except FileNotFoundError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     print(bench.format_report(report))
@@ -85,7 +93,7 @@ def _cmd_report(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="topomg",
         description="Multigrid-preconditioned topology optimization benchmarks")
     sub = parser.add_subparsers(dest="command")
@@ -97,18 +105,18 @@ def build_parser():
                        help="print the JSON config schema and exit")
     p_run.set_defaults(func=_cmd_run)
 
-    p_grid = sub.add_parser("grid", help="single grid-diagnostic solve")
+    p_grid = sub.add_parser("grid", help="single grid-diagnostic solve",
+                            argument_default=argparse.SUPPRESS)
     p_grid.add_argument("--pitch-x", type=int, required=True)
     p_grid.add_argument("--pitch-y", type=int, required=True)
-    p_grid.add_argument("--strategy", default="amg",
-                        choices=["gmg", "amg", "hybrid", "hybrid_adaptive", "none"])
-    p_grid.add_argument("--domain", type=int, default=264)
-    p_grid.add_argument("--width", type=int, default=4)
-    p_grid.add_argument("--output", default="topomg_out")
+    p_grid.add_argument("--strategy", choices=STRATEGIES)
+    p_grid.add_argument("--domain", type=int)
+    p_grid.add_argument("--width", dest="feature_width", metavar="WIDTH", type=int)
+    p_grid.add_argument("--output", dest="output_dir", metavar="OUTPUT")
     p_grid.set_defaults(func=_cmd_grid)
 
-    p_rep = sub.add_parser("report", help="compare benchmark CSVs")
-    p_rep.add_argument("csv", nargs="+", help="two or more result CSV files")
+    p_rep = sub.add_parser("report", help="compare two benchmark CSVs")
+    p_rep.add_argument("csv", nargs=2, help="two result CSVs; ratios are first / second")
     p_rep.set_defaults(func=_cmd_report)
     return parser
 

@@ -78,6 +78,8 @@ class PenaltySchedule:
             raise ValueError("start must be <= stop")
         if self.increment <= 0:
             raise ValueError("increment must be positive")
+        if self.steps_per_value < 1 or (self.steps2 is not None and self.steps2 < 1):
+            raise ValueError("steps_per_value and steps2 must be >= 1")
 
     def values(self):
         """Flat list of (penalty, iteration_count) pairs."""

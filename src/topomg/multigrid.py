@@ -32,11 +32,13 @@ POWER_ITERATIONS = 10
 
 @dataclass(frozen=True)
 class SmootherConfig:
-    kind: str = "weighted_jacobi"  # weighted_jacobi | block_jacobi | sor_chebyshev | sor_gmres
+    kind: str = "weighted_jacobi"  # one of SMOOTHER_KINDS
     weight: float = 0.5
     inner_iterations: int = 2      # Chebyshev degree / GMRES steps per correction
 
     def __post_init__(self):
+        if self.kind not in SMOOTHER_KINDS:
+            raise ValueError("unknown smoother kind %r" % self.kind)
         if not (0 < self.weight <= 1):
             raise ValueError("smoother weight must be in (0, 1]")
         if self.inner_iterations < 1:
@@ -155,14 +157,12 @@ _SMOOTHERS = {
     "sor_chebyshev": SorChebyshevSmoother,
     "sor_gmres": SorGmresSmoother,
 }
+SMOOTHER_KINDS = tuple(_SMOOTHERS)
 
 
 def make_smoother(config, A, block_size):
     """The configured smoother of A; block_size is the level's dofs per node."""
-    try:
-        cls = _SMOOTHERS[config.kind]
-    except KeyError:
-        raise ValueError("unknown smoother kind %r" % config.kind) from None
+    cls = _SMOOTHERS[config.kind]
     if cls is BlockJacobiSmoother:
         return cls(A, config, block_size)
     return cls(A, config)
@@ -191,7 +191,6 @@ class MgHierarchy:
     levels: list
     coarse_solve: object
     flags: list = field(default_factory=list)
-    smoother_config: SmootherConfig | None = None
 
     @property
     def n_levels(self):
@@ -200,10 +199,6 @@ class MgHierarchy:
     @property
     def n_geometric(self):
         return sum(1 for lv in self.levels[:-1] if lv.provenance == "geometric")
-
-    @property
-    def stationary(self):
-        return self.smoother_config is None or self.smoother_config.stationary
 
     def vcycle(self, b, k=0):
         """One V-cycle on level k with a zero initial guess: a smoothing
@@ -562,8 +557,7 @@ def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
         levels += _sa_levels(A, B, coarse_max_dofs, smoother, block_size, flags,
                              seed=seed)
     lu = spla.splu(levels[-1].A.tocsc())
-    return MgHierarchy(levels=levels, coarse_solve=lu.solve, flags=flags,
-                       smoother_config=smoother)
+    return MgHierarchy(levels=levels, coarse_solve=lu.solve, flags=flags)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,9 @@ MMA_ASYMPTOTE_GROW = 1.2
 MMA_ASYMPTOTE_SHRINK = 0.7
 MMA_BISECTION_ITERATIONS = 100
 
+# preconditioner strategies of SolverHarness
+STRATEGIES = ("gmg", "amg", "hybrid", "hybrid_adaptive", "none")
+
 
 @dataclass
 class DesignState:
@@ -72,10 +75,10 @@ def _check_converged(what, record, n_modes=None):
 class SolverHarness:
     """Builds a multigrid preconditioner for each operator and runs GMRES.
 
-    strategy: 'gmg' | 'amg' | 'hybrid' | 'hybrid_adaptive' | 'none'.
-    The adaptive variant demotes geometric levels via the >200-iteration rule.
-    For 'amg' only, a previous hierarchy passed as `like` is refreshed on the
-    new operator instead of aggregating again (`build_hybrid`'s `like`).
+    strategy: one of STRATEGIES. The adaptive variant demotes geometric
+    levels via the >200-iteration rule. For 'amg' only, a previous hierarchy
+    passed as `like` is refreshed on the new operator instead of aggregating
+    again (`build_hybrid`'s `like`).
     """
 
     mesh: object
@@ -89,6 +92,8 @@ class SolverHarness:
     controller: AdaptiveHybridController | None = None
 
     def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise ValueError("unknown preconditioner strategy %r" % self.strategy)
         if self.strategy == "hybrid_adaptive" and self.controller is None:
             n_levels = len(gmg_level_dims(self.mesh.dims, self.mesh.dofs_per_node,
                                           self.coarse_max_dofs))
@@ -101,11 +106,9 @@ class SolverHarness:
         t0 = time.perf_counter()
         if self.strategy == "none":
             return None, time.perf_counter() - t0
-        by_strategy = {"amg": 0, "gmg": None, "hybrid": self.n_geo,
-                       "hybrid_adaptive": getattr(self.controller, "n_geo_current", None)}
-        if self.strategy not in by_strategy:
-            raise ValueError("unknown preconditioner strategy %r" % self.strategy)
-        n_geo = by_strategy[self.strategy]
+        n_geo = {"amg": 0, "gmg": None, "hybrid": self.n_geo,
+                 "hybrid_adaptive": getattr(self.controller, "n_geo_current", None)
+                 }[self.strategy]
         if self.strategy != "amg":
             like = None  # only pure AMG keeps its aggregates between builds
         B = None
@@ -124,8 +127,8 @@ class SolverHarness:
         M = hierarchy.apply if hierarchy is not None else None
         # a nonstationary smoother makes the V-cycle change between
         # applications, which only flexible GMRES allows
-        stationary = hierarchy is None or hierarchy.stationary
-        solve = krylov.gmres_solve if stationary else krylov.fgmres_solve
+        flexible = hierarchy is not None and not self.smoother.stationary
+        solve = krylov.fgmres_solve if flexible else krylov.gmres_solve
         x, rec = solve(K, f, x0, M, self.solve_cfg)
         rec.setup_time = setup
         if self.strategy == "hybrid_adaptive":
@@ -355,6 +358,10 @@ class OptimizationProblem:
     harness: SolverHarness
     mode: str = "compliance"  # compliance | stability
     eig_cfg: DavidsonConfig | None = None
+
+    def __post_init__(self):
+        if self.mode not in ("compliance", "stability"):
+            raise ValueError("unknown optimization mode %r" % self.mode)
 
 
 def run_optimization(problem, callback=None):

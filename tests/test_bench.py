@@ -8,10 +8,13 @@ import sys
 import numpy as np
 import pytest
 
-from topomg.bench import (CSV_HEADER, BenchConfig, GridSpec, compare_report,
-                          cantilever2d_problem, cantilever3d_problem,
+from topomg.bench import (CONFIG_SCHEMA, CSV_HEADER, PROBLEMS, BenchConfig, GridSpec,
+                          compare_report, cantilever2d_problem, cantilever3d_problem,
                           column_problem, format_report, generate_grid_structure,
                           run_benchmark, run_grid_point)
+from topomg.cli import build_parser
+from topomg.multigrid import SMOOTHER_KINDS
+from topomg.optimization import STRATEGIES
 
 SMALL_RUN = {
     "problem": "cantilever2d",
@@ -104,6 +107,17 @@ def test_config_defaults():
     assert cfg3.volume_fraction == 0.12
     colcfg = BenchConfig.from_dict({"problem": "column_stability"})
     assert colcfg.solver.rtol == 1e-8
+
+
+def test_config_vocabularies_come_from_the_library():
+    props = CONFIG_SCHEMA["properties"]
+    pre = props["preconditioner"]["properties"]
+    assert props["problem"]["enum"] == list(PROBLEMS)
+    assert pre["strategy"]["enum"] == list(STRATEGIES)
+    assert pre["smoother"]["properties"]["kind"]["enum"] == list(SMOOTHER_KINDS)
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    strategy = next(a for a in sub.choices["grid"]._actions if a.dest == "strategy")
+    assert list(strategy.choices) == list(STRATEGIES)
 
 
 def test_config_seed_env_override(monkeypatch):
@@ -225,6 +239,30 @@ def test_compare_report_synthetic_ratio(tmp_path):
     assert "gmg" in format_report(rep)
 
 
+def test_compare_report_rows_in_numeric_key_order(tmp_path):
+    write_csv(tmp_path / "grid.csv", [
+        {"pitch_x": px, "pitch_y": 8, "strategy": "gmg", "iterations": 10,
+         "setup_s": 0.1, "solve_s": 0.1} for px in (128, 16, 8)])
+    write_csv(tmp_path / "steps.csv", [
+        {"step": k, "strategy": "amg", "solve_iters": 10, "setup_s": 0.1,
+         "solve_s": 0.1} for k in (10, 2, 1)])
+
+    def keys(name):
+        return [r["key"] for r in compare_report([str(tmp_path / name)] * 2)["rows"]]
+
+    assert keys("grid.csv") == [("8", "8"), ("16", "8"), ("128", "8")]
+    assert keys("steps.csv") == [("1",), ("2",), ("10",)]
+
+
+def test_compare_report_takes_exactly_two_csvs(tmp_path):
+    p = tmp_path / "a.csv"
+    write_csv(p, [{"step": 0, "strategy": "amg", "solve_iters": 10,
+                   "setup_s": 0.1, "solve_s": 0.1}])
+    for paths in ([str(p)], [str(p)] * 3):
+        with pytest.raises(ValueError, match="two"):
+            compare_report(paths)
+
+
 def test_compare_report_schema_mismatch(tmp_path):
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
@@ -284,6 +322,40 @@ def test_cli_misspelled_key_exit_1(tmp_path, raw):
     out = cli("run", str(bad))
     assert out.returncode == 1
     assert "invalid configuration" in out.stderr
+
+
+# each failed at run time, with exit code 2, after manifest.json was written
+@pytest.mark.parametrize("raw", [
+    {"problem": "cantilever3d", "resolution": [8, 4]},
+    {**SMALL_RUN, "resolution": [12, 6, 3]},
+    {"problem": "grid_diagnostic", "resolution": [16, 16],
+     "grid": {"domain": 16, "feature_width": 2, "pitches": [4]}},
+    {**SMALL_RUN, "schedule": {"stop": 1.0, "steps_per_value": 0}},
+    {**SMALL_RUN, "schedule": {"stop": 1.0, "steps_per_value": 1,
+                               "stop2": 1.5, "steps2": 0}},
+    {"problem": "grid_diagnostic", "grid": {"domain": 16, "feature_width": 4,
+                                            "pitches": [8, 2]}},
+])
+def test_cli_config_error_exit_1_before_any_output(tmp_path, raw):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**raw, "output_dir": str(tmp_path / "out")}))
+    out = cli("run", str(bad))
+    assert out.returncode == 1
+    assert "invalid configuration" in out.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("grid",),
+    ("grid", "--pitch-x", "8"),
+    ("report",),
+    ("report", "a.csv", "b.csv", "c.csv"),
+    ("bogus",),
+])
+def test_cli_usage_error_exit_1(args):
+    out = cli(*args)
+    assert out.returncode == 1
+    assert "usage:" in out.stderr
 
 
 @pytest.mark.parametrize("pitches", [[], [0]])

@@ -131,3 +131,7 @@ def test_schedule_validation():
         PenaltySchedule(start=4.0, stop=1.0)
     with pytest.raises(ValueError):
         PenaltySchedule(increment=-0.5)
+    with pytest.raises(ValueError, match="steps"):
+        PenaltySchedule(steps_per_value=0)
+    with pytest.raises(ValueError, match="steps"):
+        PenaltySchedule(stop2=5.0, steps2=0)

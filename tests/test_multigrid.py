@@ -402,6 +402,11 @@ def test_harness_none_builds_nothing(uniform_cantilever):
     assert SolverHarness(mesh=mesh, strategy="none").build(K)[0] is None
 
 
+def test_harness_rejects_unknown_strategy_when_built():
+    with pytest.raises(ValueError, match="strategy"):
+        SolverHarness(mesh=build_mesh((4, 2), (1.0, 1.0)), strategy="agm")
+
+
 def test_harness_adaptive_demotes_one_geometric_level_per_slow_solve():
     mesh, bc, K = cantilever_k((32, 16))  # 5 geometric levels down to 20 dofs
     ctrl = AdaptiveHybridController(n_geo_current=3, min_geo=2, iteration_threshold=1)
@@ -541,6 +546,11 @@ def test_jacobi_exact_on_diagonal():
 def test_smoother_weight_zero_rejected():
     with pytest.raises(ValueError):
         SmootherConfig(weight=0.0)
+
+
+def test_smoother_config_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="smoother kind"):
+        SmootherConfig(kind="jacobi")
 
 
 def test_jacobi_error_decreases_in_A_norm():

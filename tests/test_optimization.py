@@ -542,6 +542,14 @@ class DirectHarness(SolverHarness):
         return spla.spsolve(K.tocsc(), f), SolveRecord(converged=True), None
 
 
+def test_optimization_problem_rejects_unknown_mode():
+    mesh, bc = cantilever2d_problem((4, 2))
+    with pytest.raises(ValueError, match="mode"):
+        OptimizationProblem(mesh=mesh, bc=bc, filt=build_filter(mesh, 1.5),
+                            schedule=PenaltySchedule(), volume_fraction=0.4,
+                            harness=SolverHarness(mesh=mesh), mode="complaince")
+
+
 def amg_trajectory(harness_cls=SolverHarness, callback=None):
     """The 32x16 cantilever continuation, penalty 1 -> 3 by 0.5 with 5 steps
     each; returns (history, per-step (objective, sensitivity))."""
