@@ -10,6 +10,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -388,8 +389,14 @@ def run_benchmark(cfg):
             written += _run_optimization_benchmark(cfg)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print("benchmark failed: %s" % exc, file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
         return 2, written
     return 0, written
+
+
+def hierarchy_summary(hierarchy):
+    """hierarchy.summary(), or None for strategy 'none' (no hierarchy)."""
+    return hierarchy.summary() if hierarchy is not None else None
 
 
 def _run_grid_diagnostic(cfg):
@@ -397,22 +404,33 @@ def _run_grid_diagnostic(cfg):
     rows = []
     for px in cfg.grid["pitches"]:
         for py in cfg.grid["pitches"]:
+            # only the row and the summary are kept, so the next point is
+            # solved without this one's hierarchy and solution
             res = run_grid_point(cfg, px, py, mesh, bc)
-            rows.append(res)
-    path = os.path.join(cfg.output_dir, "grid_results.csv")
+            rows.append(grid_csv_row(res))
+            summary = hierarchy_summary(res["hierarchy"])
+            del res
+    return write_grid_results(cfg.output_dir, rows, summary)
+
+
+def write_grid_results(output_dir, rows, summary):
+    """Write grid_results.csv (the header, then the `grid_csv_row` lines
+    `rows`) and the summary of the last point's hierarchy into output_dir,
+    which is made if missing; returns the written paths."""
+    os.makedirs(output_dir, exist_ok=True)
+    path = os.path.join(output_dir, "grid_results.csv")
     with open(path, "w", newline="") as fh:
         fh.write(GRID_CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(grid_csv_row(r) + "\n")
-    return [path] + _write_hierarchy_summary(cfg.output_dir, rows[-1]["hierarchy"])
+        for row in rows:
+            fh.write(row + "\n")
+    return [path] + _write_hierarchy_summary(output_dir, summary)
 
 
-def _write_hierarchy_summary(output_dir, hierarchy):
-    """Write hierarchy.summary() to hierarchy_summary.json; returns the
-    written paths, none for strategy 'none' (no hierarchy)."""
-    if hierarchy is None:
+def _write_hierarchy_summary(output_dir, summary):
+    """Write a `hierarchy_summary` to hierarchy_summary.json; returns the
+    written paths, none for a None summary (no hierarchy)."""
+    if summary is None:
         return []
-    summary = hierarchy.summary()
     path = os.path.join(output_dir, "hierarchy_summary.json")
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -428,19 +446,20 @@ def _run_optimization_benchmark(cfg):
                                   schedule=cfg.schedule,
                                   volume_fraction=cfg.volume_fraction,
                                   harness=harness, mode=spec.mode, eig_cfg=cfg.eigen)
-    last_hierarchy = [None]
+    last_summary = [None]
 
-    def keep_hierarchy(step, state, aux):
-        last_hierarchy[0] = aux["hierarchy"]
+    def keep_summary(step, state, aux):
+        # the summary, not the hierarchy: the next step is built without it
+        last_summary[0] = hierarchy_summary(aux["hierarchy"])
 
-    history, state = run_optimization(problem, callback=keep_hierarchy)
+    history, state = run_optimization(problem, callback=keep_summary)
     csv_path = os.path.join(cfg.output_dir, "iterations.csv")
     write_iteration_csv(csv_path, history)
     write_density_outputs(cfg.output_dir, mesh.dims, state.rho)
     written = [csv_path,
                os.path.join(cfg.output_dir, "density.bin"),
                os.path.join(cfg.output_dir, "density.vtk")]
-    return written + _write_hierarchy_summary(cfg.output_dir, last_hierarchy[0])
+    return written + _write_hierarchy_summary(cfg.output_dir, last_summary[0])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage/configuration error, 2 runtime failure
 import argparse
 import json
 import sys
+import traceback
 
 import jsonschema
 
@@ -71,11 +72,16 @@ def _cmd_grid(args):
         return 1
     try:
         result = bench.run_grid_point(cfg, args.pitch_x, args.pitch_y)
+        row = bench.grid_csv_row(result)
+        if "output_dir" in given:
+            bench.write_grid_results(cfg.output_dir, [row],
+                                     bench.hierarchy_summary(result["hierarchy"]))
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print("grid solve failed: %s" % exc, file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
         return 2
     print(bench.GRID_CSV_HEADER)
-    print(bench.grid_csv_row(result))
+    print(row)
     if not result["converged"]:
         print("solver did not converge", file=sys.stderr)
         return 2
@@ -112,7 +118,9 @@ def build_parser():
     p_grid.add_argument("--strategy", choices=STRATEGIES)
     p_grid.add_argument("--domain", type=int)
     p_grid.add_argument("--width", dest="feature_width", metavar="WIDTH", type=int)
-    p_grid.add_argument("--output", dest="output_dir", metavar="OUTPUT")
+    p_grid.add_argument("--output", dest="output_dir", metavar="OUTPUT",
+                        help="also write grid_results.csv and "
+                             "hierarchy_summary.json there")
     p_grid.set_defaults(func=_cmd_grid)
 
     p_rep = sub.add_parser("report", help="compare two benchmark CSVs")

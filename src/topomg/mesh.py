@@ -277,34 +277,41 @@ def _scatter(mesh, moduli, ke, bc, unit_diagonal=False):
     Each of the dofs_per_node**2 components of the node blocks is summed
     into the mesh's cached `block_pattern` by one bincount over its slots, so
     a call builds no dof index arrays and, for a shared ke, no per-element
-    matrix stack. The returned matrix owns its arrays and has sorted indices.
-    With bc, the rows and columns of its fixed dofs are zeroed, their
-    diagonal is set to 1 if unit_diagonal, and every stored zero is dropped.
+    matrix stack. The blocks are filled in BSR layout, so the one full-size
+    copy is the conversion to CSR. With bc, the rows and columns of its fixed
+    dofs are zeroed in the blocks of the nodes that have one, their diagonal
+    is set to 1 if unit_diagonal, and every stored zero is dropped. The
+    returned matrix has sorted indices and arrays no other matrix shares;
+    with bc, they may extend past its nnz by the dropped entries.
     """
     indptr, indices, slots = mesh.block_pattern()
     dpn = mesh.dofs_per_node
     k = slots.shape[1]
     ke = ke.reshape(ke.shape[:-2] + (k, dpn, k, dpn))
-    blocks = np.empty((dpn, dpn, indices.size))
+    blocks = np.empty((indices.size, dpn, dpn))
     for c in range(dpn):
         for d in range(dpn):
-            w = moduli[:, None, None] * ke[..., c, :, d]
-            blocks[c, d] = np.bincount(slots.ravel(), w.ravel(), indices.size)
+            blocks[:, c, d] = np.bincount(
+                slots.ravel(), (moduli[:, None, None] * ke[..., c, :, d]).ravel(),
+                indices.size)
+    if bc is not None:
+        fixed = ~bc.free_mask.reshape(-1, dpn)  # per node and component
+        has_fixed = fixed.any(axis=1)
+        # the blocks in the row or the column of a node with a fixed dof
+        s = np.flatnonzero(np.repeat(has_fixed, np.diff(indptr)) | has_fixed[indices])
+        rows = np.searchsorted(indptr, s, side="right") - 1
+        cols = indices[s]
+        sub = blocks[s]
+        sub[fixed[rows][:, :, None] | fixed[cols][:, None, :]] = 0.0
+        if unit_diagonal:
+            diagonals = np.einsum("bii->bi", sub)  # a writable view
+            diagonals[(rows == cols)[:, None] & fixed[rows]] = 1.0
+        blocks[s] = sub
     n = mesh.total_dofs
-    K = sp.bsr_matrix((blocks.transpose(2, 0, 1), indices, indptr),
-                      shape=(n, n)).tocsr()
+    K = sp.bsr_matrix((blocks, indices, indptr), shape=(n, n)).tocsr()
     del blocks
     if bc is not None:
-        fixed = ~bc.free_mask
-        K.data[np.repeat(fixed, np.diff(K.indptr)) | fixed[K.indices]] = 0.0
-        if unit_diagonal:
-            # every diagonal entry is still stored, so this changes values only
-            d = K.diagonal()
-            d[fixed] = 1.0
-            K.setdiag(d)
         K.eliminate_zeros()
-        # eliminate_zeros leaves views of the unpruned arrays; keep compact ones
-        K.indices, K.data = K.indices.copy(), K.data.copy()
     return K
 
 

@@ -227,7 +227,16 @@ class MgHierarchy:
 
 
 def _galerkin(A, P):
-    Ac = (P.T @ A @ P).tocsr()
+    """P^T A P of CSR A and P, in canonical CSR.
+
+    P^T A is formed as (A^T P)^T: A^T is a CSC view of A, so only P is
+    converted, not A. With its indices sorted, each entry of the product
+    sums over the same k in the same order as (P^T @ A) @ P, so the result
+    is the same to the bit, and so are the exact zeros the product drops.
+    """
+    PtA = (A.T @ P).T
+    PtA.sort_indices()
+    Ac = PtA @ P
     Ac.sum_duplicates()
     return Ac
 

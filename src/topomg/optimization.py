@@ -24,7 +24,8 @@ from .multigrid import (AdaptiveHybridController, SmootherConfig, adapt_after_so
 P_NORM = 8
 # MMA (Svanberg 1987): design bounds, move limit as a fraction of their span,
 # the initial asymptote distance and the asymptote growth and shrink factors
-# on non-oscillating and oscillating variables, and the dual bisection steps
+# on non-oscillating and oscillating variables, and the most dual bisection
+# steps
 MMA_XMIN, MMA_XMAX = 0.0, 1.0
 MMA_MOVE_LIMIT = 0.2
 MMA_ASYMPTOTE_INIT = 0.5
@@ -76,9 +77,10 @@ class SolverHarness:
     """Builds a multigrid preconditioner for each operator and runs GMRES.
 
     strategy: one of STRATEGIES. The adaptive variant demotes geometric
-    levels via the >200-iteration rule. For 'amg' only, a previous hierarchy
-    passed as `like` is refreshed on the new operator instead of aggregating
-    again (`build_hybrid`'s `like`).
+    levels via the >200-iteration rule. When `refreshes` (for 'amg' only), a
+    previous hierarchy passed as `like` is refreshed on the new operator
+    instead of aggregating again (`build_hybrid`'s `like`); otherwise `like`
+    is ignored.
     """
 
     mesh: object
@@ -100,6 +102,12 @@ class SolverHarness:
             start = max(2, min(self.n_geo, n_levels - 1))
             self.controller = AdaptiveHybridController(n_geo_current=start)
 
+    @property
+    def refreshes(self):
+        """True if `build` refreshes a `like` hierarchy: only pure AMG keeps
+        its aggregates between builds."""
+        return self.strategy == "amg"
+
     def build(self, K, like=None):
         """The strategy's point on the n_geo axis of `build_hybrid`, built;
         returns (hierarchy, or None for 'none', seconds)."""
@@ -109,8 +117,8 @@ class SolverHarness:
         n_geo = {"amg": 0, "gmg": None, "hybrid": self.n_geo,
                  "hybrid_adaptive": getattr(self.controller, "n_geo_current", None)
                  }[self.strategy]
-        if self.strategy != "amg":
-            like = None  # only pure AMG keeps its aggregates between builds
+        if not self.refreshes:
+            like = None
         B = None
         if n_geo == 0 and like is None:
             B = rigid_body_modes(self.mesh, self.fixed_dofs)
@@ -266,6 +274,25 @@ class MmaState:
     x_prev2: np.ndarray | None = None
 
 
+def _dual_bisection(constraint, mu_lo, mu_hi):
+    """Bisect [mu_lo, mu_hi], where constraint(mu_lo) > 0 >= constraint(mu_hi),
+    for at most MMA_BISECTION_ITERATIONS steps; returns mu_hi.
+
+    Both inequalities hold at every step, so once the midpoint equals an end
+    every later step leaves the bracket as it is: stopping there returns the
+    same mu_hi as running all the steps.
+    """
+    for _ in range(MMA_BISECTION_ITERATIONS):
+        mu = 0.5 * (mu_lo + mu_hi)
+        if mu in (mu_lo, mu_hi):
+            break
+        if constraint(mu) > 0.0:
+            mu_lo = mu
+        else:
+            mu_hi = mu
+    return mu_hi
+
+
 def mma_update(x, dfdx, g, dgdx, state):
     """One MMA step with a single inequality constraint, solved in the dual.
 
@@ -329,13 +356,7 @@ def mma_update(x, dfdx, g, dgdx, state):
             if grow > 60:
                 raise RuntimeError("MMA dual bracket expansion failed; state: "
                                    f"g={g:.3e}, mu_hi={mu_hi:.3e}")
-        for _ in range(MMA_BISECTION_ITERATIONS):
-            mu = 0.5 * (mu_lo + mu_hi)
-            if constraint(mu) > 0.0:
-                mu_lo = mu
-            else:
-                mu_hi = mu
-        x_new = primal(mu_hi)
+        x_new = primal(_dual_bisection(constraint, mu_lo, mu_hi))
 
     state.low = low
     state.upp = upp
@@ -368,9 +389,11 @@ def run_optimization(problem, callback=None):
     """Continuation loop; returns (history, final DesignState).
 
     history is one dict per iteration with the timing/iteration columns used
-    by the benchmark CSV plus objective and volume. Each step's hierarchy is
-    built `like` the previous step's, so a pure AMG run aggregates only at
-    its first step; only the previous hierarchy is kept.
+    by the benchmark CSV plus objective and volume. A step's operators (K,
+    the hierarchy and, in stability mode, K_sigma) are released once the
+    callback returns, so the next step assembles and builds without them.
+    Only a harness that `refreshes` keeps the hierarchy, to build the next
+    step's `like` it: a pure AMG run aggregates only at its first step.
     """
     mesh = problem.mesh
     n_el = mesh.element_count
@@ -395,6 +418,7 @@ def run_optimization(problem, callback=None):
                 problem.harness, problem.eig_cfg, u0=u_prev,
                 initial_space=eig_prev, like=hier_prev)
             eig_prev = aux["eig"].eigenvectors
+        hier_prev = None  # this step's hierarchy is built: release the one it refreshed
         u_prev = aux["u"]
         rho = aux["rho"]
         vol = float(np.mean(rho))
@@ -402,7 +426,7 @@ def run_optimization(problem, callback=None):
                             objective=F, sensitivity_alpha=dF,
                             volume_fraction=vol)
         rec = aux["record"]
-        hier = hier_prev = aux["hierarchy"]
+        hier = aux["hierarchy"]
         row = {
             "step": step,
             "penalty": penalty,
@@ -423,6 +447,8 @@ def run_optimization(problem, callback=None):
         history.append(row)
         if callback is not None:
             callback(step, state, aux)
+        hier_prev = hier if problem.harness.refreshes else None
+        del aux, hier
         g = vol - problem.volume_fraction
         alpha = mma_update(alpha, dF, g, volume_grad, mma)
     # refresh the reported state for the final accepted design

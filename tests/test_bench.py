@@ -8,11 +8,12 @@ import sys
 import numpy as np
 import pytest
 
+import topomg.bench as bench
 from topomg.bench import (CONFIG_SCHEMA, CSV_HEADER, PROBLEMS, BenchConfig, GridSpec,
                           compare_report, cantilever2d_problem, cantilever3d_problem,
                           column_problem, format_report, generate_grid_structure,
                           run_benchmark, run_grid_point)
-from topomg.cli import build_parser
+from topomg.cli import build_parser, main
 from topomg.multigrid import SMOOTHER_KINDS
 from topomg.optimization import STRATEGIES
 
@@ -393,6 +394,32 @@ def test_cli_run_failure_exit_2_on_stderr(tmp_path):
     assert "benchmark failed" not in out.stdout
 
 
+def test_cli_run_failure_prints_its_traceback(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_RUN, "solver": {"max_iterations": 1},
+                               "output_dir": str(tmp_path / "out")}))
+    out = cli("run", str(cfg))
+    assert out.returncode == 2
+    # after the one-line message, the traceback down to the raising function
+    message, traceback = out.stderr.split("\n", 1)
+    assert message.startswith("benchmark failed: displacement solve failed")
+    assert traceback.startswith("Traceback (most recent call last)")
+    assert "in _check_converged" in traceback
+
+
+def test_cli_grid_failure_prints_its_traceback(monkeypatch, capsys):
+    def broken_lattice(spec):
+        raise RuntimeError("no lattice")
+
+    monkeypatch.setattr(bench, "generate_grid_structure", broken_lattice)
+    code = main(["grid", "--pitch-x", "8", "--pitch-y", "8", "--domain", "24",
+                 "--width", "4"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("grid solve failed: no lattice\nTraceback")
+    assert "in broken_lattice" in err
+
+
 def test_cli_run_and_report(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     raw = dict(SMALL_RUN)
@@ -418,3 +445,29 @@ def test_cli_grid_bad_width_exit_1(tmp_path):
     out = cli("grid", "--pitch-x", "4", "--pitch-y", "8", "--domain", "24",
               "--width", "8", "--output", str(tmp_path / "g"))
     assert out.returncode == 1
+
+
+def test_cli_grid_output_writes_what_run_writes(tmp_path):
+    out = cli("grid", "--pitch-x", "8", "--pitch-y", "8", "--domain", "24",
+              "--width", "4", "--output", str(tmp_path / "g"))
+    assert out.returncode == 0, out.stderr
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "grid_diagnostic",
+                               "grid": {"domain": 24, "feature_width": 4, "pitches": [8]},
+                               "output_dir": str(tmp_path / "r")}))
+    assert cli("run", str(cfg)).returncode == 0
+    # the files hold what the command printed
+    assert (tmp_path / "g" / "grid_results.csv").read_text() == out.stdout
+
+    def untimed(name):
+        with open(tmp_path / name / "grid_results.csv") as fh:
+            return [{k: v for k, v in r.items() if k not in ("setup_s", "solve_s")}
+                    for r in csv.DictReader(fh)]
+
+    def summary(name):
+        return json.loads((tmp_path / name / "hierarchy_summary.json").read_text())
+
+    assert untimed("g") == untimed("r")
+    assert summary("g") == summary("r")
+    assert sorted(p.name for p in (tmp_path / "g").iterdir()) == [
+        "grid_results.csv", "hierarchy_summary.json"]

@@ -1,9 +1,12 @@
 """Mesh, element matrices, assembly, boundary conditions, and density filter."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from topomg.bench import cantilever3d_problem
 from topomg.mesh import (BoundaryConditions, assemble_stiffness,
                          assemble_stress_stiffness, build_filter, build_mesh,
                          element_stiffness, geometric_stiffness_tensor,
@@ -344,6 +347,20 @@ def test_assembly_returns_independent_arrays(with_bc):
         second = assemble()
         assert np.array_equal(second.toarray(), expected)
     assert not any(a.flags.writeable for a in m.block_pattern())
+
+
+def test_assembly_peak_memory_stays_within_twice_the_matrix():
+    m, bc = cantilever3d_problem((24, 12, 12))
+    moduli = np.random.default_rng(12).uniform(0.01, 1.0, m.element_count)
+    assemble_stiffness(m, bc, moduli)  # caches the block pattern
+    tracemalloc.start()
+    try:
+        K = assemble_stiffness(m, bc, moduli)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the node blocks plus the CSR matrix they convert to
+    assert peak <= 2.0 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
 
 
 def test_boundary_conditions_zero_load_on_fixed():

@@ -6,11 +6,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topomg.bench import cantilever2d_problem, column_problem
+from topomg.bench import cantilever2d_problem, cantilever3d_problem, column_problem
 from topomg.material import SimpLaw
 from topomg.mesh import (BoundaryConditions, assemble_stiffness, build_mesh,
                          rigid_body_modes)
-from topomg.multigrid import (AdaptiveHybridController, SmootherConfig,
+from topomg.multigrid import (AdaptiveHybridController, SmootherConfig, _galerkin,
                               _merge_small_aggregates, adapt_after_solve,
                               aggregate_nodes, build_gmg, build_hybrid,
                               build_sa_amg, estimate_spectral_radius,
@@ -339,6 +339,41 @@ def _identical_hierarchies(h1, h2):
                     and (l1.P is None) == (l2.P is None)
                     and (l1.P is None or _same_arrays(l1.P, l2.P))
                     for l1, l2 in zip(h1.levels, h2.levels)))
+
+
+def _triple_product(A, P):
+    Ac = (P.T @ A @ P).tocsr()
+    Ac.sum_duplicates()
+    return Ac
+
+
+def _same_bytes(a, b):
+    return all(getattr(a, k).dtype == getattr(b, k).dtype
+               and getattr(a, k).tobytes() == getattr(b, k).tobytes()
+               for k in ("indptr", "indices", "data"))
+
+
+def test_galerkin_is_byte_identical_to_the_triple_product():
+    rng = np.random.default_rng(4)
+    products = 0
+    m3, bc3 = cantilever3d_problem((8, 4, 4))
+    K3 = assemble_stiffness(m3, bc3, rng.uniform(0.01, 1.0, m3.element_count))
+    # a uniform design, where some entries of the products cancel exactly
+    for mesh, bc, K in [(m3, bc3, K3), cantilever_k((24, 12), moduli=np.full(288, 0.4))]:
+        for strategy in ("gmg", "amg", "hybrid"):
+            harness = SolverHarness(mesh=mesh, strategy=strategy, n_geo=1,
+                                    coarse_max_dofs=30, fixed_dofs=bc.fixed_dofs)
+            h, _ = harness.build(K)
+            for lv, coarse in zip(h.levels, h.levels[1:]):
+                expected = _triple_product(lv.A, lv.P)
+                assert _same_bytes(coarse.A, expected)
+                assert _same_bytes(_galerkin(lv.A, lv.P), expected)
+                products += 1
+    assert products >= 12
+    # the form does not rely on symmetry
+    A = sp.random(80, 80, density=0.15, random_state=rng, format="csr")
+    P = sp.random(80, 20, density=0.2, random_state=rng, format="csr")
+    assert _same_bytes(_galerkin(A, P), _triple_product(A, P))
 
 
 def _column_k(dims, moduli):

@@ -1,11 +1,15 @@
 """Objectives, sensitivities, MMA, and the continuation loop."""
 
+import copy
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
 import topomg.multigrid as multigrid
+import topomg.optimization as optimization
 from topomg.bench import cantilever2d_problem, cantilever3d_problem, column_problem
 from topomg.eigensolver import DavidsonConfig, EigenResult
 from topomg.krylov import SolveConfig, SolveRecord
@@ -463,6 +467,47 @@ def test_mma_two_variable_matches_grid_scan():
     assert np.max(np.abs(x_new - best)) < 1e-3
 
 
+def test_mma_bisection_stops_early_with_the_full_bisection_result(monkeypatch):
+    def full_bisection(constraint, mu_lo, mu_hi):
+        for _ in range(100):
+            mu = 0.5 * (mu_lo + mu_hi)
+            if constraint(mu) > 0.0:
+                mu_lo = mu
+            else:
+                mu_hi = mu
+        return mu_hi
+
+    steps = []
+
+    def counted(constraint, mu_lo, mu_hi, _bisect=optimization._dual_bisection):
+        calls = []
+
+        def logged(mu):
+            calls.append(mu)
+            return constraint(mu)
+
+        mu = _bisect(logged, mu_lo, mu_hi)
+        steps.append(len(calls))
+        return mu
+
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        n = int(rng.integers(2, 300))
+        x = rng.uniform(0.1, 0.9, n)
+        prev1 = np.clip(x + rng.uniform(-0.1, 0.1, n), 0.0, 1.0)
+        state = MmaState(low=prev1 - rng.uniform(0.05, 0.5, n),
+                         upp=prev1 + rng.uniform(0.05, 0.5, n), x_prev1=prev1,
+                         x_prev2=np.clip(prev1 + rng.uniform(-0.1, 0.1, n), 0.0, 1.0))
+        args = (x, -rng.exponential(1.0, n) * 10.0 ** rng.uniform(-3, 3),
+                float(rng.uniform(-0.02, 0.05)), np.full(n, 1.0 / n))
+        monkeypatch.setattr(optimization, "_dual_bisection", counted)
+        early = mma_update(*args, copy.deepcopy(state))
+        monkeypatch.setattr(optimization, "_dual_bisection", full_bisection)
+        assert np.array_equal(early, mma_update(*args, copy.deepcopy(state)))
+    assert len(steps) >= 20  # the constraint was active in most cases
+    assert max(steps) < 100
+
+
 def test_mma_rejects_nonfinite():
     with pytest.raises(ValueError):
         mma_update(np.array([0.5]), np.array([np.nan]), 0.0,
@@ -589,6 +634,18 @@ def test_amg_run_repeats_exactly():
     assert all(np.array_equal(a[1], b[1]) for a, b in zip(s1, s2))
 
 
+def test_amg_run_releases_the_refreshed_hierarchy_before_the_callback():
+    seen = []
+
+    def callback(step, state, aux):
+        # the previous step's hierarchy served this step's refresh; it is gone
+        assert all(ref() is None for ref in seen)
+        seen.append(weakref.ref(aux["hierarchy"]))
+
+    history, _ = amg_trajectory(callback=callback)
+    assert len(seen) == len(history) == 25
+
+
 def test_amg_run_aggregates_only_at_its_first_step(monkeypatch):
     step = [0]
     strength_steps = []
@@ -605,3 +662,36 @@ def test_amg_run_aggregates_only_at_its_first_step(monkeypatch):
     assert len(history) == 25
     # one strength graph per algebraic level of the first hierarchy
     assert strength_steps == [0] * (history[0]["levels"] - 1)
+
+
+def _owner(a):
+    """The array that owns a's memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("strategy", ["hybrid", "gmg"])
+def test_run_optimization_assembles_without_the_previous_steps_operators(
+        monkeypatch, strategy):
+    mesh, bc = cantilever3d_problem((8, 4, 4))
+    harness = SolverHarness(mesh=mesh, strategy=strategy, n_geo=1, coarse_max_dofs=50,
+                            fixed_dofs=bc.fixed_dofs)
+    sched = PenaltySchedule(start=1.0, stop=2.0, increment=0.5, steps_per_value=1)
+    prob = OptimizationProblem(mesh=mesh, bc=bc, filt=build_filter(mesh, 1.5),
+                               schedule=sched, volume_fraction=0.12, harness=harness)
+    assembled = []
+
+    def assemble(*args, _assemble=optimization.assemble_stiffness):
+        # neither the loop nor the previous hierarchy holds the previous K
+        assert all(ref() is None for ref in assembled)
+        K = _assemble(*args)
+        assembled.append(weakref.ref(_owner(K.data)))
+        return K
+
+    def callback(step, state, aux):
+        assert np.all(np.isfinite(aux["K"] @ aux["u"]))
+
+    monkeypatch.setattr(optimization, "assemble_stiffness", assemble)
+    history, _ = run_optimization(prob, callback)
+    assert len(history) == len(assembled) == 3
