@@ -19,7 +19,7 @@ import numpy as np
 from . import krylov
 from .eigensolver import DavidsonConfig
 from .material import PenaltySchedule
-from .mesh import BoundaryConditions, build_filter, build_mesh
+from .mesh import BoundaryConditions, assemble_stiffness, build_filter, build_mesh
 from .multigrid import SMOOTHER_KINDS, SmootherConfig
 from .optimization import (STRATEGIES, OptimizationProblem, SolverHarness,
                            run_optimization)
@@ -358,8 +358,6 @@ def run_grid_point(cfg, pitch_x, pitch_y, mesh=None, bc=None):
     spec = GridSpec(domain=domain, feature_width=width,
                     column_pitch=pitch_x, beam_pitch=pitch_y)
     rho = generate_grid_structure(spec)
-    from .mesh import assemble_stiffness
-
     K = assemble_stiffness(mesh, bc, rho)
     harness = _make_harness(cfg, mesh, bc)
     x, rec, hierarchy = harness.solve(K, bc.load_vector)

@@ -31,8 +31,8 @@ class DavidsonConfig:
     def __post_init__(self):
         if self.j_min >= self.j_max:
             raise ValueError("j_min must be < j_max")
-        if self.n_modes > self.j_min:
-            raise ValueError("n_modes must be <= j_min")
+        if not 1 <= self.n_modes <= self.j_min:
+            raise ValueError("n_modes must be >= 1 and <= j_min")
 
 
 @dataclass

@@ -28,8 +28,6 @@ class SimpLaw:
     def modulus_derivative(self, rho):
         rho = np.asarray(rho, dtype=float)
         p = self.penalty
-        if p == 1.0:
-            return np.full_like(rho, self.e_max - self.e_min)
         return p * (self.e_max - self.e_min) * rho ** (p - 1.0)
 
 
@@ -55,7 +53,7 @@ class StressSimpLaw:
     def modulus_derivative(self, rho):
         rho = np.asarray(rho, dtype=float)
         p = self.penalty
-        d = p * self.e_max * rho ** (p - 1.0) if p != 1.0 else np.full_like(rho, self.e_max)
+        d = p * self.e_max * rho ** (p - 1.0)
         return np.where(rho >= self.threshold, d, 0.0)
 
 

@@ -10,6 +10,7 @@ All coarse operators come from the Galerkin triple product P^T A P and the
 coarsest operator is factorized once at build time.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,19 +179,22 @@ class MgLevel:
     P: sp.csr_matrix | None
     provenance: str  # "geometric" | "algebraic"
     smoother: object | None = None  # correction operator r -> dx
-    # on algebraic levels but the coarsest: the tentative prolongation and the
-    # dofs per node of A, which a refresh (`build_hybrid`'s `like`) reuses
-    T: sp.csr_matrix | None = None
-    block_size: int | None = None
+
+
+# what a later build on another operator reuses of a pure SA build
+# (`build_hybrid`'s `like`): per level but the coarsest, its tentative
+# prolongation T and the dofs per node of its A; and the build's flags
+Aggregates = namedtuple("Aggregates", "levels flags")
 
 
 @dataclass
 class MgHierarchy:
-    """Ordered fine-to-coarse multigrid levels plus the coarse factorization."""
+    """Fine-to-coarse levels, the coarse factorization and, for pure SA, the aggregates."""
 
     levels: list
     coarse_solve: object
     flags: list = field(default_factory=list)
+    aggregates: Aggregates | None = None
 
     @property
     def n_levels(self):
@@ -455,13 +459,13 @@ def smoothed_prolongation(A, T, seed=0):
     return P
 
 
-def _sa_levels(A, near_nullspace, coarse_max_dofs, smoother, block_size, flags,
+def _sa_levels(levels, A, B, coarse_max_dofs, smoother, block_size, flags, kept,
                seed=0):
-    """Append smoothed-aggregation levels until the coarse bound is met."""
-    levels = []
-    B = near_nullspace
+    """Append smoothed-aggregation levels from the candidates B until the coarse
+    bound is met, and each one's (T, block_size) to `kept`; returns the coarse
+    operator."""
     nvec = B.shape[1]
-    while A.shape[0] > coarse_max_dofs and len(levels) < MAX_SA_LEVELS:
+    while A.shape[0] > coarse_max_dofs and len(kept) < MAX_SA_LEVELS:
         min_nodes = max(2, -(-nvec // block_size))
         agg, agg_flags = aggregate_nodes(strength_of_connection(A, block_size))
         flags.extend(agg_flags)
@@ -471,25 +475,11 @@ def _sa_levels(A, near_nullspace, coarse_max_dofs, smoother, block_size, flags,
             flags.append("aggregation_stalled")
             break
         T, Bc = tentative_prolongation(agg, B, block_size)
+        kept.append((T, block_size))
         A = _append_sa_level(levels, A, T, smoother, block_size, seed)
         B = Bc
         block_size = nvec  # coarse dofs come in candidate-sized nodal blocks
-    levels.append(MgLevel(A=A, P=None, provenance="algebraic"))
-    return levels
-
-
-def _refreshed_sa_levels(A, like, smoother, seed=0):
-    """The algebraic levels of `like` rebuilt on A: each keeps its tentative
-    prolongation T (so its aggregates and candidates) and smooths it afresh."""
-    levels = []
-    for old in like.levels:
-        if old.T is None:
-            continue
-        if old.T.shape[0] != A.shape[0]:
-            raise ValueError("`like` was built for operators of another size")
-        A = _append_sa_level(levels, A, old.T, smoother, old.block_size, seed)
-    levels.append(MgLevel(A=A, P=None, provenance="algebraic"))
-    return levels
+    return A
 
 
 def _append_sa_level(levels, A, T, smoother, block_size, seed):
@@ -497,8 +487,7 @@ def _append_sa_level(levels, A, T, smoother, block_size, seed):
     coarse operator."""
     P = smoothed_prolongation(A, T, seed=seed)
     levels.append(MgLevel(A=A, P=P, provenance="algebraic",
-                          smoother=make_smoother(smoother, A, block_size),
-                          block_size=block_size, T=T))
+                          smoother=make_smoother(smoother, A, block_size)))
     return _galerkin(A, P)
 
 
@@ -520,24 +509,31 @@ def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
     level. Otherwise aggregation starts from the rigid-body modes of the
     coarsest geometric grid.
 
-    `like` is a hierarchy built by this function for the same mesh, n_geo and
-    coarse bound. Its algebraic levels are refreshed rather than rebuilt: each
-    keeps like's tentative prolongation and only the work that depends on K
-    is redone (prolongation smoothing, Galerkin products, smoothers, coarse
-    LU). Strength and aggregation do not run, `near_nullspace` is not read and
-    the flags are like's.
+    `like` is the `aggregates` of an earlier pure SA build with the same
+    coarse bound, and takes n_geo=0. Its levels are refreshed rather than
+    rebuilt: each keeps like's tentative prolongation and only the work that
+    depends on K is redone (prolongation smoothing, Galerkin products,
+    smoothers, coarse LU). Strength and aggregation do not run,
+    `near_nullspace` is not read and the flags are like's.
     """
     if n_geo is not None and n_geo < 0:
         raise ValueError("n_geo must be >= 0, or None for pure GMG")
+    if like is not None and n_geo != 0:
+        raise ValueError("`like` refreshes pure SA-AMG builds only (n_geo=0)")
     smoother = smoother or SmootherConfig()
     A = sp.csr_matrix(K)
-    levels, flags = [], []
-    if n_geo == 0:
-        if like is None:
-            B = np.asarray(near_nullspace, dtype=float)
-            if B.ndim != 2 or B.shape[0] != K.shape[0]:
-                raise ValueError("near_nullspace must be (ndofs, nvec)")
-            block_size = 2 if B.shape[1] == 3 else 3 if B.shape[1] == 6 else 1
+    levels, flags, kept, aggregates = [], [], [], like
+    if like is not None:
+        flags = list(like.flags)
+        for T, block_size in like.levels:
+            if T.shape[0] != A.shape[0]:
+                raise ValueError("`like` was built for operators of another size")
+            A = _append_sa_level(levels, A, T, smoother, block_size, seed)
+    elif n_geo == 0:
+        B = np.asarray(near_nullspace, dtype=float)
+        if B.ndim != 2 or B.shape[0] != K.shape[0]:
+            raise ValueError("near_nullspace must be (ndofs, nvec)")
+        block_size = 2 if B.shape[1] == 3 else 3 if B.shape[1] == 6 else 1
     else:
         block_size = mesh.dofs_per_node
         plan = gmg_level_dims(mesh.dims, block_size, coarse_max_dofs)
@@ -552,21 +548,21 @@ def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
                 flags.append("no_coarsening_possible")
             if A.shape[0] > coarse_max_dofs:
                 flags.append("coarse_bound_not_reached")
-            levels.append(MgLevel(A=A, P=None, provenance="geometric"))
         else:
             if n_geo > n_fine and all(d <= 1 for d in plan[-1]):
                 flags.append("geometric_coarsening_exhausted")
             B = rigid_body_modes(StructuredMesh(
                 plan[n_fine], tuple(h * 2 ** n_fine for h in mesh.element_size)))
-    if like is not None:
-        flags = list(like.flags)
-        if n_geo is not None:
-            levels += _refreshed_sa_levels(A, like, smoother, seed=seed)
-    elif n_geo is not None:
-        levels += _sa_levels(A, B, coarse_max_dofs, smoother, block_size, flags,
-                             seed=seed)
-    lu = spla.splu(levels[-1].A.tocsc())
-    return MgHierarchy(levels=levels, coarse_solve=lu.solve, flags=flags)
+    if like is None and n_geo is not None:
+        A = _sa_levels(levels, A, B, coarse_max_dofs, smoother, block_size, flags,
+                       kept, seed=seed)
+        if n_geo == 0:
+            aggregates = Aggregates(tuple(kept), tuple(flags))
+    levels.append(MgLevel(A=A, P=None,
+                          provenance="geometric" if n_geo is None else "algebraic"))
+    lu = spla.splu(A.tocsc())
+    return MgHierarchy(levels=levels, coarse_solve=lu.solve, flags=flags,
+                       aggregates=aggregates)
 
 
 # ---------------------------------------------------------------------------

@@ -77,10 +77,9 @@ class SolverHarness:
     """Builds a multigrid preconditioner for each operator and runs GMRES.
 
     strategy: one of STRATEGIES. The adaptive variant demotes geometric
-    levels via the >200-iteration rule. When `refreshes` (for 'amg' only), a
-    previous hierarchy passed as `like` is refreshed on the new operator
-    instead of aggregating again (`build_hybrid`'s `like`); otherwise `like`
-    is ignored.
+    levels via the >200-iteration rule. `like` is the `aggregates` of an
+    earlier 'amg' build, refreshed on the new operator instead of
+    aggregating again (`build_hybrid`'s `like`).
     """
 
     mesh: object
@@ -102,12 +101,6 @@ class SolverHarness:
             start = max(2, min(self.n_geo, n_levels - 1))
             self.controller = AdaptiveHybridController(n_geo_current=start)
 
-    @property
-    def refreshes(self):
-        """True if `build` refreshes a `like` hierarchy: only pure AMG keeps
-        its aggregates between builds."""
-        return self.strategy == "amg"
-
     def build(self, K, like=None):
         """The strategy's point on the n_geo axis of `build_hybrid`, built;
         returns (hierarchy, or None for 'none', seconds)."""
@@ -117,11 +110,8 @@ class SolverHarness:
         n_geo = {"amg": 0, "gmg": None, "hybrid": self.n_geo,
                  "hybrid_adaptive": getattr(self.controller, "n_geo_current", None)
                  }[self.strategy]
-        if not self.refreshes:
-            like = None
-        B = None
-        if n_geo == 0 and like is None:
-            B = rigid_body_modes(self.mesh, self.fixed_dofs)
+        B = (rigid_body_modes(self.mesh, self.fixed_dofs)
+             if n_geo == 0 and like is None else None)
         h = build_hybrid(self.mesh, K, B, n_geo, self.coarse_max_dofs, self.smoother,
                          seed=self.seed, like=like)
         return h, time.perf_counter() - t0
@@ -392,8 +382,8 @@ def run_optimization(problem, callback=None):
     by the benchmark CSV plus objective and volume. A step's operators (K,
     the hierarchy and, in stability mode, K_sigma) are released once the
     callback returns, so the next step assembles and builds without them.
-    Only a harness that `refreshes` keeps the hierarchy, to build the next
-    step's `like` it: a pure AMG run aggregates only at its first step.
+    Only the hierarchy's `aggregates` are kept, as the next step's `like`
+    (None but for pure AMG): a pure AMG run aggregates only at its first step.
     """
     mesh = problem.mesh
     n_el = mesh.element_count
@@ -402,7 +392,7 @@ def run_optimization(problem, callback=None):
     history = []
     u_prev = None
     eig_prev = None
-    hier_prev = None
+    aggregates = None
     volume_grad = problem.filt.apply_transpose(np.full(n_el, 1.0 / n_el))
     state = None
     for step, penalty in enumerate(problem.schedule.flat()):
@@ -410,15 +400,14 @@ def run_optimization(problem, callback=None):
         if problem.mode == "compliance":
             F, dF, aux = compliance_and_sensitivity(
                 mesh, problem.bc, problem.filt, law, alpha, problem.harness,
-                u0=u_prev, like=hier_prev)
+                u0=u_prev, like=aggregates)
         else:
             stress_law = StressSimpLaw(penalty=penalty)
             F, dF, aux = stability_objective_and_sensitivity(
                 mesh, problem.bc, problem.filt, law, stress_law, alpha,
                 problem.harness, problem.eig_cfg, u0=u_prev,
-                initial_space=eig_prev, like=hier_prev)
+                initial_space=eig_prev, like=aggregates)
             eig_prev = aux["eig"].eigenvectors
-        hier_prev = None  # this step's hierarchy is built: release the one it refreshed
         u_prev = aux["u"]
         rho = aux["rho"]
         vol = float(np.mean(rho))
@@ -427,6 +416,7 @@ def run_optimization(problem, callback=None):
                             volume_fraction=vol)
         rec = aux["record"]
         hier = aux["hierarchy"]
+        aggregates = hier.aggregates if hier is not None else None
         row = {
             "step": step,
             "penalty": penalty,
@@ -447,7 +437,6 @@ def run_optimization(problem, callback=None):
         history.append(row)
         if callback is not None:
             callback(step, state, aux)
-        hier_prev = hier if problem.harness.refreshes else None
         del aux, hier
         g = vol - problem.volume_fraction
         alpha = mma_update(alpha, dF, g, volume_grad, mma)

@@ -1,7 +1,9 @@
-"""Benchmark harness: config validation, grid generator, runners, reports, CLI."""
+"""Benchmark harness: config, grid generator, runners, reports, CLI, perfbench tracer."""
 
 import csv
+import importlib.util
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -14,8 +16,11 @@ from topomg.bench import (CONFIG_SCHEMA, CSV_HEADER, PROBLEMS, BenchConfig, Grid
                           column_problem, format_report, generate_grid_structure,
                           run_benchmark, run_grid_point)
 from topomg.cli import build_parser, main
+from topomg.material import PenaltySchedule
+from topomg.mesh import build_filter
 from topomg.multigrid import SMOOTHER_KINDS
-from topomg.optimization import STRATEGIES
+from topomg.optimization import (STRATEGIES, OptimizationProblem, SolverHarness,
+                                 run_optimization)
 
 SMALL_RUN = {
     "problem": "cantilever2d",
@@ -336,6 +341,11 @@ def test_cli_misspelled_key_exit_1(tmp_path, raw):
                                "stop2": 1.5, "steps2": 0}},
     {"problem": "grid_diagnostic", "grid": {"domain": 16, "feature_width": 4,
                                             "pitches": [8, 2]}},
+    # Davidson with n_modes=0: the first never stopped, the second divided by 0
+    {**SMALL_RUN, "problem": "column_stability", "resolution": [4, 16],
+     "eigen": {"j_min": 0, "n_modes": 0}},
+    {**SMALL_RUN, "problem": "column_stability", "resolution": [4, 16],
+     "eigen": {"n_modes": 0}},
 ])
 def test_cli_config_error_exit_1_before_any_output(tmp_path, raw):
     bad = tmp_path / "bad.json"
@@ -471,3 +481,30 @@ def test_cli_grid_output_writes_what_run_writes(tmp_path):
     assert summary("g") == summary("r")
     assert sorted(p.name for p in (tmp_path / "g").iterdir()) == [
         "grid_results.csv", "hierarchy_summary.json"]
+
+
+# ---------------------------------------------------------------------------
+# perfbench's span tracer
+# ---------------------------------------------------------------------------
+
+def test_tracer_reports_every_per_layer_metric_of_a_pure_amg_run():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  root / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    m, bc = cantilever2d_problem((16, 8))
+    problem = OptimizationProblem(
+        mesh=m, bc=bc, filt=build_filter(m, 1.5), volume_fraction=0.4,
+        schedule=PenaltySchedule(stop=1.5, increment=0.5, steps_per_value=1),
+        harness=SolverHarness(mesh=m, coarse_max_dofs=50, fixed_dofs=bc.fixed_dofs))
+    tracer = spans.Tracer()
+    with tracer:
+        assert len(run_optimization(problem)[0]) == 2
+    metrics = spans.layer_metrics(tracer.spans, 0, 1)
+    declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+    # perfbench/run.py adds the trace.* metrics itself
+    assert set(metrics) == {d["name"] for d in declared} - {"trace.wall_s",
+                                                             "trace.overhead_pct"}
+    # both steps build in the traced builders, the second from the aggregates
+    assert metrics["multigrid.setup_calls"][0] == 2

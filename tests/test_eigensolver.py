@@ -199,6 +199,8 @@ def test_config_validation():
         DavidsonConfig(j_min=10, j_max=10)
     with pytest.raises(ValueError):
         DavidsonConfig(n_modes=11, j_min=10, j_max=25)
+    with pytest.raises(ValueError):
+        DavidsonConfig(n_modes=0)
 
 
 def test_max_iterations_partial_result():

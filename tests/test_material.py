@@ -38,9 +38,10 @@ def test_simp_monotone_and_bounded():
 
 
 def test_simp_derivative_constant_for_p1():
-    law = SimpLaw(e_max=1.0, penalty=1.0)
-    d = law.modulus_derivative(np.array([0.0, 0.3, 1.0]))
-    assert np.allclose(d, 1.0 - 1e-10)
+    rho = np.array([0.0, 0.3, 1.0])  # rho ** 0.0 is exactly 1.0, at rho = 0 too
+    assert np.array_equal(SimpLaw(penalty=1.0).modulus_derivative(rho), [1.0 - 1e-10] * 3)
+    assert np.array_equal(StressSimpLaw(e_max=2.0, penalty=1.0).modulus_derivative(rho),
+                          [0.0, 2.0, 2.0])
 
 
 def test_simp_derivative_zero_at_origin_p2():
