@@ -5,8 +5,6 @@ algebraic-multigrid-preconditioned GMRES solver, then writes the final density
 field to VTK for inspection in ParaView.
 """
 
-import numpy as np
-
 from topomg.bench import cantilever2d_problem, write_density_outputs
 from topomg.krylov import SolveConfig
 from topomg.material import PenaltySchedule

@@ -6,7 +6,7 @@ toward the strut width, geometric coarsening merges distinct members and GMG
 iteration counts blow up while AMG stays flat.
 """
 
-from topomg.bench import (BenchConfig, format_report, run_grid_point)
+from topomg.bench import BenchConfig, run_grid_point
 
 pitches = (8, 16, 32, 64)
 

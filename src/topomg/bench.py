@@ -9,7 +9,6 @@ import csv
 import json
 import os
 import sys
-import time
 import traceback
 from collections import namedtuple
 from dataclasses import dataclass, field

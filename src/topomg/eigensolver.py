@@ -33,6 +33,8 @@ class DavidsonConfig:
             raise ValueError("j_min must be < j_max")
         if not 1 <= self.n_modes <= self.j_min:
             raise ValueError("n_modes must be >= 1 and <= j_min")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -214,9 +216,15 @@ def generalized_davidson(A, B, M=None, cfg=None, initial_space=None):
     V-cycle built for B). A mode is converged when its relative residual falls
     below cfg.rtol_residual or its eigenvalue stalls between outer iterations.
     An outer iteration costs one product with A, one with B and one with M.
+    Raises ValueError if the pencil is smaller than the search space's
+    capacity n_modes + j_max + 1, which it could never fill.
     """
     cfg = cfg or DavidsonConfig()
     n = A.shape[0]
+    cap = cfg.n_modes + cfg.j_max + 1
+    if n < cap:
+        raise ValueError("a pencil of %d dofs cannot hold the Davidson search space "
+                         "of n_modes + eigen.j_max + 1 = %d vectors" % (n, cap))
     rng = np.random.default_rng(cfg.seed)
     gaussian = (rng.standard_normal(n) for _ in itertools.count())  # fill candidates
     if M is None:
@@ -226,7 +234,7 @@ def generalized_davidson(A, B, M=None, cfg=None, initial_space=None):
     if initial_space is not None:
         S = np.atleast_2d(np.asarray(initial_space, dtype=float))
         start = S.T if S.shape[0] == n else S
-    space = _Subspace(A, B, cfg.n_modes + cfg.j_max + 1)
+    space = _Subspace(A, B, cap)
     space.set_active(_b_basis(itertools.chain(start, gaussian), B, limit=cfg.j_min))
 
     lock_reasons = []

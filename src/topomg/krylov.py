@@ -24,6 +24,8 @@ class SolveConfig:
             raise ValueError("rtol must be in (0, 1)")
         if self.restart < 1:
             raise ValueError("restart must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass

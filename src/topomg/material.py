@@ -6,6 +6,9 @@ import numpy as np
 
 # void stiffness of the SIMP law as a fraction of e_max
 E_MIN_RATIO = 1e-10
+# a schedule leg's span may exceed a whole number of increments by this
+# fraction of one increment (rounding of the division) and still reach it
+SPAN_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -80,14 +83,15 @@ class PenaltySchedule:
             raise ValueError("steps_per_value and steps2 must be >= 1")
 
     def values(self):
-        """Flat list of (penalty, iteration_count) pairs."""
-        n = int(round((self.stop - self.start) / self.increment))
+        """Flat list of (penalty, iteration_count) pairs; no value passes the
+        stop of its leg."""
+        n = int(np.floor((self.stop - self.start) / self.increment + SPAN_TOLERANCE))
         seq = [(round(self.start + i * self.increment, 12), self.steps_per_value)
                for i in range(n + 1)]
         if self.stop2 is not None:
             inc2 = self.increment2 if self.increment2 is not None else self.increment
             steps2 = self.steps2 if self.steps2 is not None else self.steps_per_value
-            m = int(round((self.stop2 - self.stop) / inc2))
+            m = int(np.floor((self.stop2 - self.stop) / inc2 + SPAN_TOLERANCE))
             seq += [(round(self.stop + i * inc2, 12), steps2) for i in range(1, m + 1)]
         return seq
 

@@ -178,21 +178,21 @@ class MgLevel:
     A: sp.csr_matrix
     P: sp.csr_matrix | None
     provenance: str  # "geometric" | "algebraic"
-    smoother: object | None = None  # correction operator r -> dx
+    smoother: object  # correction r -> dx; on the coarsest level, the exact solve
 
 
 # what a later build on another operator reuses of a pure SA build
-# (`build_hybrid`'s `like`): per level but the coarsest, its tentative
-# prolongation T and the dofs per node of its A; and the build's flags
+# (`build_hybrid`'s `like`, `SolverHarness.aggregates`): per level but the
+# coarsest, its tentative prolongation T and the dofs per node of its A; and
+# the build's flags
 Aggregates = namedtuple("Aggregates", "levels flags")
 
 
 @dataclass
 class MgHierarchy:
-    """Fine-to-coarse levels, the coarse factorization and, for pure SA, the aggregates."""
+    """Fine-to-coarse levels, the build's flags and, for pure SA, the aggregates."""
 
     levels: list
-    coarse_solve: object
     flags: list = field(default_factory=list)
     aggregates: Aggregates | None = None
 
@@ -211,11 +211,10 @@ class MgHierarchy:
         if not (0 <= k < self.n_levels):
             raise IndexError("level index out of range")
         lvl = self.levels[k]
-        if lvl.P is None:  # coarsest: direct solve
-            return self.coarse_solve(b)
         x = lvl.smoother(b)
-        x += lvl.P @ self.vcycle(lvl.P.T @ (b - lvl.A @ x), k + 1)
-        x += lvl.smoother(b - lvl.A @ x)
+        if lvl.P is not None:  # on the coarsest level the correction is exact
+            x += lvl.P @ self.vcycle(lvl.P.T @ (b - lvl.A @ x), k + 1)
+            x += lvl.smoother(b - lvl.A @ x)
         return x
 
     def apply(self, b):
@@ -459,38 +458,6 @@ def smoothed_prolongation(A, T, seed=0):
     return P
 
 
-def _sa_levels(levels, A, B, coarse_max_dofs, smoother, block_size, flags, kept,
-               seed=0):
-    """Append smoothed-aggregation levels from the candidates B until the coarse
-    bound is met, and each one's (T, block_size) to `kept`; returns the coarse
-    operator."""
-    nvec = B.shape[1]
-    while A.shape[0] > coarse_max_dofs and len(kept) < MAX_SA_LEVELS:
-        min_nodes = max(2, -(-nvec // block_size))
-        agg, agg_flags = aggregate_nodes(strength_of_connection(A, block_size))
-        flags.extend(agg_flags)
-        agg = _merge_small_aggregates(agg, min_nodes)
-        n_agg = int(agg.max()) + 1
-        if n_agg * nvec >= A.shape[0]:
-            flags.append("aggregation_stalled")
-            break
-        T, Bc = tentative_prolongation(agg, B, block_size)
-        kept.append((T, block_size))
-        A = _append_sa_level(levels, A, T, smoother, block_size, seed)
-        B = Bc
-        block_size = nvec  # coarse dofs come in candidate-sized nodal blocks
-    return A
-
-
-def _append_sa_level(levels, A, T, smoother, block_size, seed):
-    """Append the algebraic level of A with P smoothed from T; returns the
-    coarse operator."""
-    P = smoothed_prolongation(A, T, seed=seed)
-    levels.append(MgLevel(A=A, P=P, provenance="algebraic",
-                          smoother=make_smoother(smoother, A, block_size)))
-    return _galerkin(A, P)
-
-
 def build_sa_amg(K, near_nullspace, coarse_max_dofs, smoother=None, seed=0):
     """Smoothed-aggregation hierarchy from the operator and candidate vectors."""
     return build_hybrid(None, K, near_nullspace, 0, coarse_max_dofs, smoother, seed)
@@ -523,12 +490,19 @@ def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
     smoother = smoother or SmootherConfig()
     A = sp.csr_matrix(K)
     levels, flags, kept, aggregates = [], [], [], like
+
+    def step(P, provenance, block_size):
+        """Append the level of A with prolongation P, then coarsen A."""
+        nonlocal A
+        levels.append(MgLevel(A, P, provenance, make_smoother(smoother, A, block_size)))
+        A = _galerkin(A, P)
+
     if like is not None:
         flags = list(like.flags)
         for T, block_size in like.levels:
             if T.shape[0] != A.shape[0]:
                 raise ValueError("`like` was built for operators of another size")
-            A = _append_sa_level(levels, A, T, smoother, block_size, seed)
+            step(smoothed_prolongation(A, T, seed=seed), "algebraic", block_size)
     elif n_geo == 0:
         B = np.asarray(near_nullspace, dtype=float)
         if B.ndim != 2 or B.shape[0] != K.shape[0]:
@@ -539,10 +513,7 @@ def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
         plan = gmg_level_dims(mesh.dims, block_size, coarse_max_dofs)
         n_fine = len(plan) - 1 if n_geo is None else min(n_geo, len(plan) - 1)
         for dims in plan[:n_fine]:
-            P = geometric_prolongation(dims, block_size)
-            levels.append(MgLevel(A=A, P=P, provenance="geometric",
-                                  smoother=make_smoother(smoother, A, block_size)))
-            A = _galerkin(A, P)
+            step(geometric_prolongation(dims, block_size), "geometric", block_size)
         if n_geo is None:
             if len(plan) == 1:
                 flags.append("no_coarsening_possible")
@@ -554,15 +525,24 @@ def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
             B = rigid_body_modes(StructuredMesh(
                 plan[n_fine], tuple(h * 2 ** n_fine for h in mesh.element_size)))
     if like is None and n_geo is not None:
-        A = _sa_levels(levels, A, B, coarse_max_dofs, smoother, block_size, flags,
-                       kept, seed=seed)
+        nvec = B.shape[1]
+        while A.shape[0] > coarse_max_dofs and len(kept) < MAX_SA_LEVELS:
+            agg, agg_flags = aggregate_nodes(strength_of_connection(A, block_size))
+            flags.extend(agg_flags)
+            agg = _merge_small_aggregates(agg, max(2, -(-nvec // block_size)))
+            if (int(agg.max()) + 1) * nvec >= A.shape[0]:
+                flags.append("aggregation_stalled")
+                break
+            T, B = tentative_prolongation(agg, B, block_size)
+            kept.append((T, block_size))
+            step(smoothed_prolongation(A, T, seed=seed), "algebraic", block_size)
+            block_size = nvec  # coarse dofs come in candidate-sized nodal blocks
         if n_geo == 0:
             aggregates = Aggregates(tuple(kept), tuple(flags))
-    levels.append(MgLevel(A=A, P=None,
-                          provenance="geometric" if n_geo is None else "algebraic"))
     lu = spla.splu(A.tocsc())
-    return MgHierarchy(levels=levels, coarse_solve=lu.solve, flags=flags,
-                       aggregates=aggregates)
+    levels.append(MgLevel(A, None, "geometric" if n_geo is None else "algebraic",
+                          lu.solve))
+    return MgHierarchy(levels, flags, aggregates)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ kept tentative prolongations with its own operator.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,8 +17,8 @@ from .eigensolver import DavidsonConfig, generalized_davidson
 from .material import PenaltySchedule, SimpLaw, StressSimpLaw
 from .mesh import (assemble_stiffness, assemble_stress_stiffness, element_stiffness,
                    geometric_stiffness_tensor, rigid_body_modes)
-from .multigrid import (AdaptiveHybridController, SmootherConfig, adapt_after_solve,
-                        build_hybrid, gmg_level_dims)
+from .multigrid import (AdaptiveHybridController, Aggregates, SmootherConfig,
+                        adapt_after_solve, build_hybrid, gmg_level_dims)
 
 # exponent of the p-norm aggregate of the buckling eigenvalues
 P_NORM = 8
@@ -77,9 +77,9 @@ class SolverHarness:
     """Builds a multigrid preconditioner for each operator and runs GMRES.
 
     strategy: one of STRATEGIES. The adaptive variant demotes geometric
-    levels via the >200-iteration rule. `like` is the `aggregates` of an
-    earlier 'amg' build, refreshed on the new operator instead of
-    aggregating again (`build_hybrid`'s `like`).
+    levels via the >200-iteration rule. `aggregates` are those of an
+    earlier 'amg' build; an 'amg' build refreshes them on its operator
+    instead of aggregating again (`build_hybrid`'s `like`).
     """
 
     mesh: object
@@ -91,6 +91,7 @@ class SolverHarness:
     fixed_dofs: np.ndarray | None = None
     seed: int = 0
     controller: AdaptiveHybridController | None = None
+    aggregates: Aggregates | None = None
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -101,7 +102,7 @@ class SolverHarness:
             start = max(2, min(self.n_geo, n_levels - 1))
             self.controller = AdaptiveHybridController(n_geo_current=start)
 
-    def build(self, K, like=None):
+    def build(self, K):
         """The strategy's point on the n_geo axis of `build_hybrid`, built;
         returns (hierarchy, or None for 'none', seconds)."""
         t0 = time.perf_counter()
@@ -111,17 +112,17 @@ class SolverHarness:
                  "hybrid_adaptive": getattr(self.controller, "n_geo_current", None)
                  }[self.strategy]
         B = (rigid_body_modes(self.mesh, self.fixed_dofs)
-             if n_geo == 0 and like is None else None)
+             if n_geo == 0 and self.aggregates is None else None)
         h = build_hybrid(self.mesh, K, B, n_geo, self.coarse_max_dofs, self.smoother,
-                         seed=self.seed, like=like)
+                         seed=self.seed, like=self.aggregates)
         return h, time.perf_counter() - t0
 
-    def solve(self, K, f, x0=None, hierarchy=None, like=None):
+    def solve(self, K, f, x0=None, hierarchy=None):
         """Solve K x = f; returns (x, SolveRecord, hierarchy). Without
-        `hierarchy`, one is built for K, refreshed from `like` if given."""
+        `hierarchy`, one is built for K."""
         setup = 0.0
         if hierarchy is None and self.strategy != "none":
-            hierarchy, setup = self.build(K, like)
+            hierarchy, setup = self.build(K)
         M = hierarchy.apply if hierarchy is not None else None
         # a nonstationary smoother makes the V-cycle change between
         # applications, which only flexible GMRES allows
@@ -144,18 +145,17 @@ def element_strain_energies(mesh, u):
     return np.einsum("ei,ij,ej->e", ue, element_stiffness(mesh, 1.0), ue)
 
 
-def compliance_and_sensitivity(mesh, bc, filt, law, alpha, harness, u0=None,
-                               like=None):
+def compliance_and_sensitivity(mesh, bc, filt, law, alpha, harness, u0=None):
     """Compliance F = f^T u and its design sensitivity via the adjoint identity.
 
     Returns (F, dF/dalpha, aux) where aux carries u, K, the solve record and
-    the hierarchy for reuse; `like` goes to `SolverHarness.solve`. Raises
-    SolveFailed if the solve does not converge.
+    the hierarchy for reuse. Raises SolveFailed if the solve does not
+    converge.
     """
     rho = filt.apply(alpha)
     E = law.modulus(rho)
     K = assemble_stiffness(mesh, bc, E)
-    u, rec, hierarchy = harness.solve(K, bc.load_vector, u0, like=like)
+    u, rec, hierarchy = harness.solve(K, bc.load_vector, u0)
     _check_converged("displacement solve", rec)
     F = float(bc.load_vector @ u)
     dF_drho = -law.modulus_derivative(rho) * element_strain_energies(mesh, u)
@@ -205,20 +205,20 @@ def pnorm_aggregate(lams, p=P_NORM):
 
 def stability_objective_and_sensitivity(mesh, bc, filt, law, stress_law, alpha,
                                         harness, eig_cfg=None, u0=None,
-                                        initial_space=None, like=None):
+                                        initial_space=None):
     """Aggregated buckling objective F = (sum lambda_i^8)^(1/8) and dF/dalpha.
 
     One adjoint solve per mode, all started from zero. Returns (F, dF/dalpha, aux)
-    with the eigensolver result and solve records in aux; `like` goes to
-    `SolverHarness.solve`. Raises SolveFailed if the displacement solve, an
-    adjoint solve or the eigensolve does not converge.
+    with the eigensolver result and solve records in aux. Raises SolveFailed
+    if the displacement solve, an adjoint solve or the eigensolve does not
+    converge.
     """
     eig_cfg = eig_cfg or DavidsonConfig()
     rho = filt.apply(alpha)
     E = law.modulus(rho)
     Es = stress_law.modulus(rho)
     K = assemble_stiffness(mesh, bc, E)
-    u, rec, hierarchy = harness.solve(K, bc.load_vector, u0, like=like)
+    u, rec, hierarchy = harness.solve(K, bc.load_vector, u0)
     _check_converged("displacement solve", rec)
     Ks = assemble_stress_stiffness(mesh, bc, u, Es)
     t_eig = time.perf_counter()
@@ -382,31 +382,30 @@ def run_optimization(problem, callback=None):
     by the benchmark CSV plus objective and volume. A step's operators (K,
     the hierarchy and, in stability mode, K_sigma) are released once the
     callback returns, so the next step assembles and builds without them.
-    Only the hierarchy's `aggregates` are kept, as the next step's `like`
-    (None but for pure AMG): a pure AMG run aggregates only at its first step.
+    Only the hierarchy's `aggregates` are kept (None but for pure AMG), in the
+    run's own copy of the harness: a pure AMG run aggregates only at its first
+    step, and `problem.harness` is left as it was.
     """
     mesh = problem.mesh
+    harness = replace(problem.harness)
     n_el = mesh.element_count
     alpha = np.full(n_el, problem.volume_fraction)
     mma = MmaState()
     history = []
     u_prev = None
     eig_prev = None
-    aggregates = None
     volume_grad = problem.filt.apply_transpose(np.full(n_el, 1.0 / n_el))
     state = None
     for step, penalty in enumerate(problem.schedule.flat()):
         law = SimpLaw(penalty=penalty)
         if problem.mode == "compliance":
             F, dF, aux = compliance_and_sensitivity(
-                mesh, problem.bc, problem.filt, law, alpha, problem.harness,
-                u0=u_prev, like=aggregates)
+                mesh, problem.bc, problem.filt, law, alpha, harness, u0=u_prev)
         else:
             stress_law = StressSimpLaw(penalty=penalty)
             F, dF, aux = stability_objective_and_sensitivity(
                 mesh, problem.bc, problem.filt, law, stress_law, alpha,
-                problem.harness, problem.eig_cfg, u0=u_prev,
-                initial_space=eig_prev, like=aggregates)
+                harness, problem.eig_cfg, u0=u_prev, initial_space=eig_prev)
             eig_prev = aux["eig"].eigenvectors
         u_prev = aux["u"]
         rho = aux["rho"]
@@ -416,11 +415,11 @@ def run_optimization(problem, callback=None):
                             volume_fraction=vol)
         rec = aux["record"]
         hier = aux["hierarchy"]
-        aggregates = hier.aggregates if hier is not None else None
+        harness.aggregates = hier.aggregates if hier is not None else None
         row = {
             "step": step,
             "penalty": penalty,
-            "strategy": problem.harness.strategy,
+            "strategy": harness.strategy,
             "levels": hier.n_levels if hier is not None else 0,
             "n_geo": hier.n_geometric if hier is not None else 0,
             "setup_s": rec.setup_time,

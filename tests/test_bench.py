@@ -346,6 +346,10 @@ def test_cli_misspelled_key_exit_1(tmp_path, raw):
      "eigen": {"j_min": 0, "n_modes": 0}},
     {**SMALL_RUN, "problem": "column_stability", "resolution": [4, 16],
      "eigen": {"n_modes": 0}},
+    # iteration caps of 0: every solve failed
+    {**SMALL_RUN, "solver": {"max_iterations": 0}},
+    {**SMALL_RUN, "problem": "column_stability", "resolution": [4, 16],
+     "eigen": {"max_iterations": 0}},
 ])
 def test_cli_config_error_exit_1_before_any_output(tmp_path, raw):
     bad = tmp_path / "bad.json"
@@ -402,6 +406,18 @@ def test_cli_run_failure_exit_2_on_stderr(tmp_path):
     assert out.returncode == 2
     assert "benchmark failed: displacement solve failed" in out.stderr
     assert "benchmark failed" not in out.stdout
+
+
+def test_cli_run_on_a_pencil_smaller_than_the_davidson_space_exit_2(tmp_path):
+    # 8 dofs cannot hold the default 6 + 25 + 1 Davidson basis vectors
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "column_stability", "resolution": [1, 1],
+                               "schedule": {"stop": 1.0, "steps_per_value": 1},
+                               "output_dir": str(tmp_path / "out")}))
+    out = cli("run", str(cfg), timeout=60)
+    assert out.returncode == 2
+    assert "benchmark failed: a pencil of 8 dofs" in out.stderr
+    assert "eigen.j_max" in out.stderr
 
 
 def test_cli_run_failure_prints_its_traceback(tmp_path):

@@ -201,6 +201,15 @@ def test_config_validation():
         DavidsonConfig(n_modes=11, j_min=10, j_max=25)
     with pytest.raises(ValueError):
         DavidsonConfig(n_modes=0)
+    with pytest.raises(ValueError, match="max_iterations"):
+        DavidsonConfig(max_iterations=0)
+
+
+def test_pencil_smaller_than_the_search_space_raises():
+    # 8 dofs cannot hold the default 6 + 25 + 1 basis vectors
+    A = sp.diags(np.arange(1.0, 9.0)).tocsr()
+    with pytest.raises(ValueError, match="eigen.j_max"):
+        generalized_davidson(A, sp.identity(8, format="csr"))
 
 
 def test_max_iterations_partial_result():

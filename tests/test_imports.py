@@ -1,0 +1,29 @@
+"""Every module imports only names it uses (package re-exports excepted)."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCANNED = ("src", "demos", "tests")
+
+
+def unused_imports(source):
+    """(line, name) of each name that `source` imports and never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    found = ["%s:%d %s" % (path.relative_to(ROOT), line, name)
+             for top in SCANNED for path in sorted((ROOT / top).rglob("*.py"))
+             if path.name != "__init__.py"
+             for line, name in unused_imports(path.read_text())]
+    assert found == []

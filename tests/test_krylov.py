@@ -114,6 +114,8 @@ def test_config_validation():
         SolveConfig(rtol=0.0)
     with pytest.raises(ValueError):
         SolveConfig(restart=0)
+    with pytest.raises(ValueError, match="max_iterations"):
+        SolveConfig(max_iterations=0)
 
 
 def test_warm_start_never_much_worse():

@@ -120,6 +120,16 @@ def test_schedule_column_two_legs():
     assert ps == sorted(ps)
 
 
+def test_schedule_never_passes_a_stop():
+    s = PenaltySchedule(start=1.0, stop=2.0, increment=0.6, steps_per_value=1)
+    assert s.values() == [(1.0, 1), (1.6, 1)]
+    s = PenaltySchedule(start=1.0, stop=1.0, increment=0.5, steps_per_value=1,
+                        stop2=5.0, increment2=0.6)
+    assert [p for p, _ in s.values()] == [1.0, 1.6, 2.2, 2.8, 3.4, 4.0, 4.6]
+    # a span that is a whole number of increments only up to rounding keeps its stop
+    assert PenaltySchedule(start=1.0, stop=4.0, increment=0.1).values()[-1][0] == 4.0
+
+
 def test_schedule_flat_length():
     s = PenaltySchedule(start=1.0, stop=2.0, increment=0.5, steps_per_value=4)
     flat = s.flat()

@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from topomg.bench import cantilever3d_problem
 from topomg.mesh import (BoundaryConditions, assemble_stiffness,

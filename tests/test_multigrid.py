@@ -1,5 +1,7 @@
 """Hierarchy construction (GMG / SA-AMG / hybrid), smoothers, V-cycle, adaptivity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -419,7 +421,19 @@ def test_only_pure_amg_hierarchies_record_aggregates(strategy):
                                   fixed_dofs=bc.fixed_dofs) for s in ("amg", strategy))
     assert harness.build(K)[0].aggregates is None
     with pytest.raises(ValueError, match="n_geo=0"):
-        harness.build(K, amg.build(K)[0].aggregates)
+        replace(harness, aggregates=amg.build(K)[0].aggregates).build(K)
+
+
+def test_harness_with_aggregates_refreshes_them_like_build_hybrid():
+    mesh, bc, K0 = cantilever_k((32, 16), moduli=np.full(512, 0.4))
+    K = cantilever_k((32, 16), seed=2)[2]
+    amg = SolverHarness(mesh=mesh, strategy="amg", coarse_max_dofs=20,
+                        fixed_dofs=bc.fixed_dofs)
+    aggregates = amg.build(K0)[0].aggregates
+    h = replace(amg, aggregates=aggregates).build(K)[0]
+    assert h.aggregates is aggregates
+    assert _identical_hierarchies(
+        h, build_hybrid(mesh, K, None, 0, coarse_max_dofs=20, like=aggregates))
 
 
 def test_harness_none_builds_nothing(uniform_cantilever):

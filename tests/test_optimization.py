@@ -583,7 +583,7 @@ def test_run_optimization_stability_mode_smoke():
 class DirectHarness(SolverHarness):
     """Solves with spsolve and builds no hierarchy."""
 
-    def solve(self, K, f, x0=None, hierarchy=None, like=None):
+    def solve(self, K, f, x0=None, hierarchy=None):
         return spla.spsolve(K.tocsc(), f), SolveRecord(converged=True), None
 
 
@@ -595,15 +595,21 @@ def test_optimization_problem_rejects_unknown_mode():
                             harness=SolverHarness(mesh=mesh), mode="complaince")
 
 
-def amg_trajectory(harness_cls=SolverHarness, callback=None):
+def amg_problem(harness_cls=SolverHarness):
     """The 32x16 cantilever continuation, penalty 1 -> 3 by 0.5 with 5 steps
-    each; returns (history, per-step (objective, sensitivity))."""
+    each."""
     mesh, bc = cantilever2d_problem((32, 16))
     harness = harness_cls(mesh=mesh, strategy="amg", coarse_max_dofs=50,
                           solve_cfg=SolveConfig(rtol=1e-9), fixed_dofs=bc.fixed_dofs)
     sched = PenaltySchedule(start=1.0, stop=3.0, increment=0.5, steps_per_value=5)
-    prob = OptimizationProblem(mesh=mesh, bc=bc, filt=build_filter(mesh, 1.5),
+    return OptimizationProblem(mesh=mesh, bc=bc, filt=build_filter(mesh, 1.5),
                                schedule=sched, volume_fraction=0.4, harness=harness)
+
+
+def amg_trajectory(harness_cls=SolverHarness, callback=None):
+    """`amg_problem` run once; returns (history, per-step (objective,
+    sensitivity))."""
+    prob = amg_problem(harness_cls)
     steps = []
 
     def record(step, state, aux):
@@ -635,21 +641,27 @@ def test_amg_run_repeats_exactly():
 
 
 def test_amg_run_aggregates_only_at_its_first_step(monkeypatch):
-    step = [0]
+    run_step = [0, 0]
     strength_steps = []
 
     def counted(*args, _strength=multigrid.strength_of_connection):
-        strength_steps.append(step[0])
+        strength_steps.append(tuple(run_step))
         return _strength(*args)
 
     def next_step(i, state, aux):
-        step[0] = i + 1
+        run_step[1] = i + 1
 
     monkeypatch.setattr(multigrid, "strength_of_connection", counted)
-    history, _ = amg_trajectory(callback=next_step)
-    assert len(history) == 25
-    # one strength graph per algebraic level of the first hierarchy
-    assert strength_steps == [0] * (history[0]["levels"] - 1)
+    prob = amg_problem()
+    for run in range(2):
+        run_step[:] = [run, 0]
+        history, _ = run_optimization(prob, next_step)
+        assert len(history) == 25
+        # the kept aggregates live in the run's own copy of the harness
+        assert prob.harness.aggregates is None
+    # per run, one strength graph per algebraic level of its first hierarchy
+    n_algebraic = history[0]["levels"] - 1
+    assert strength_steps == [(0, 0)] * n_algebraic + [(1, 0)] * n_algebraic
 
 
 def _owner(a):
