@@ -9,6 +9,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import daxpy, ddot
 
 BREAKDOWN_TOL = 1e-14
 
@@ -83,10 +84,11 @@ def _gmres_core(A, b, x0, M, cfg, flexible):
             if flexible:
                 Z[j] = z
             w = A @ z
-            # modified Gram-Schmidt
+            # modified Gram-Schmidt, in place: daxpy updates w in its own
+            # storage, with no temporary for H[i, j] * V[i]
             for i in range(j + 1):
-                H[i, j] = float(V[i] @ w)
-                w -= H[i, j] * V[i]
+                H[i, j] = ddot(V[i], w)
+                w = daxpy(V[i], w, a=-H[i, j])
             H[j + 1, j] = float(np.linalg.norm(w))
             breakdown = H[j + 1, j] < BREAKDOWN_TOL
             if not breakdown:

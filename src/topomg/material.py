@@ -77,8 +77,10 @@ class PenaltySchedule:
     def __post_init__(self):
         if self.start > self.stop:
             raise ValueError("start must be <= stop")
-        if self.increment <= 0:
-            raise ValueError("increment must be positive")
+        if self.increment <= 0 or (self.increment2 is not None and self.increment2 <= 0):
+            raise ValueError("increment and increment2 must be positive")
+        if self.stop2 is not None and self.stop2 < self.stop:
+            raise ValueError("stop2 must be >= stop")
         if self.steps_per_value < 1 or (self.steps2 is not None and self.steps2 < 1):
             raise ValueError("steps_per_value and steps2 must be >= 1")
 

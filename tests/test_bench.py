@@ -339,6 +339,9 @@ def test_cli_misspelled_key_exit_1(tmp_path, raw):
     {**SMALL_RUN, "schedule": {"stop": 1.0, "steps_per_value": 0}},
     {**SMALL_RUN, "schedule": {"stop": 1.0, "steps_per_value": 1,
                                "stop2": 1.5, "steps2": 0}},
+    # a second leg of increment 0 divided by zero after manifest.json was written
+    {**SMALL_RUN, "schedule": {"stop": 1.5, "increment": 0.5, "steps_per_value": 1,
+                               "stop2": 2.0, "increment2": 0}},
     {"problem": "grid_diagnostic", "grid": {"domain": 16, "feature_width": 4,
                                             "pitches": [8, 2]}},
     # Davidson with n_modes=0: the first never stopped, the second divided by 0
@@ -524,3 +527,23 @@ def test_tracer_reports_every_per_layer_metric_of_a_pure_amg_run():
                                                              "trace.overhead_pct"}
     # both steps build in the traced builders, the second from the aggregates
     assert metrics["multigrid.setup_calls"][0] == 2
+
+
+def test_committed_bench_records_name_only_declared_workloads_and_metrics():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    declared = json.loads((root / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in declared["workloads"]}
+    metrics = {m["name"] for m in declared["end_to_end"] + declared["per_layer"]}
+    records = sorted(root.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        assert record["sets"], path.name
+        for run_set in record["sets"]:
+            assert run_set["workloads"] and set(run_set["workloads"]) <= workloads, path.name
+            for per_metric in run_set["workloads"].values():
+                assert per_metric and set(per_metric) <= metrics, path.name
+                for m in per_metric.values():
+                    assert 0 <= m["wins"] <= m["pairs"]
+                    for side in ("parent", "change"):
+                        assert m[side]["q1"] <= m[side]["median"] <= m[side]["q3"]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import hilbert
 
 from topomg.krylov import SolveConfig, fgmres_solve, gmres_solve
 from topomg.mesh import BoundaryConditions, assemble_stiffness, build_mesh
@@ -107,6 +108,18 @@ def test_max_iterations_not_converged():
     _, rec = gmres_solve(A, b, cfg=cfg)
     assert not rec.converged
     assert rec.iterations == 3
+
+
+def test_arnoldi_basis_stays_orthogonal_on_an_ill_conditioned_system():
+    # one restart cycle of 200 steps on a condition number near 1e7: modified
+    # Gram-Schmidt converges in 191 steps, a single classical Gram-Schmidt
+    # pass loses the basis and stalls near 1e-8
+    A = sp.csr_matrix(hilbert(200) + np.diag(np.logspace(0, -6, 200)))
+    b = np.random.default_rng(0).standard_normal(200)
+    cfg = SolveConfig(rtol=1e-10, max_iterations=200, restart=200)
+    x, rec = gmres_solve(A, b, cfg=cfg)
+    assert rec.converged
+    assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_config_validation():

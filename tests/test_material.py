@@ -146,3 +146,9 @@ def test_schedule_validation():
         PenaltySchedule(steps_per_value=0)
     with pytest.raises(ValueError, match="steps"):
         PenaltySchedule(stop2=5.0, steps2=0)
+    # a second leg that divides by zero, runs backwards or would be dropped
+    for bad in ({"stop2": 5.0, "increment2": 0.0}, {"stop2": 5.0, "increment2": -0.5}):
+        with pytest.raises(ValueError, match="increment2"):
+            PenaltySchedule(**bad)
+    with pytest.raises(ValueError, match="stop2"):
+        PenaltySchedule(stop=2.0, stop2=1.5, steps2=3)

@@ -12,12 +12,13 @@ from topomg.bench import cantilever2d_problem, cantilever3d_problem, column_prob
 from topomg.material import SimpLaw
 from topomg.mesh import (BoundaryConditions, assemble_stiffness, build_mesh,
                          rigid_body_modes)
-from topomg.multigrid import (AdaptiveHybridController, SmootherConfig, _galerkin,
-                              _merge_small_aggregates, adapt_after_solve,
-                              aggregate_nodes, build_gmg, build_hybrid,
-                              build_sa_amg, estimate_spectral_radius,
+from topomg.multigrid import (DENSE_FRACTION, AdaptiveHybridController,
+                              SmootherConfig, _galerkin, _merge_small_aggregates,
+                              adapt_after_solve, aggregate_nodes, build_gmg,
+                              build_hybrid, build_sa_amg, estimate_spectral_radius,
                               geometric_prolongation, gmg_level_dims, make_smoother,
-                              strength_of_connection, tentative_prolongation)
+                              smoothed_prolongation, strength_of_connection,
+                              tentative_prolongation)
 from topomg.optimization import SolverHarness
 
 
@@ -218,6 +219,63 @@ def test_merged_aggregates_are_contiguous_and_reproduce_candidates(case):
     assert np.max(np.abs(T @ Bc - B)) <= 1e-10 * np.max(np.abs(B))
 
 
+def _tentative_per_aggregate(agg, B, block_size):
+    """Reference: one QR per aggregate, in aggregate order."""
+    nvec = B.shape[1]
+    n_agg = int(agg.max()) + 1
+    rows, cols, vals = [], [], []
+    Bc = np.zeros((n_agg * nvec, nvec))
+    for a in range(n_agg):
+        nodes = np.flatnonzero(agg == a)
+        dofs = (nodes[:, None] * block_size + np.arange(block_size)).ravel()
+        Q, R = np.linalg.qr(B[dofs, :])
+        rows.append(np.repeat(dofs, nvec))
+        cols.append(np.tile(a * nvec + np.arange(nvec), dofs.size))
+        vals.append(Q.ravel())
+        Bc[a * nvec:(a + 1) * nvec] = R
+    T = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(B.shape[0], n_agg * nvec)).tocsr()
+    return T, Bc
+
+
+def _assert_tentative_matches_per_aggregate_qr(K, B, block_size, n_levels):
+    """T and the coarse candidates of the batched QR equal the reference's to
+    the bit, on the first n_levels SA levels of K."""
+    for _ in range(n_levels):
+        agg = aggregate_nodes(strength_of_connection(K, block_size))[0]
+        agg = _merge_small_aggregates(agg, max(2, -(-B.shape[1] // block_size)))
+        if (agg.max() + 1) * B.shape[1] >= K.shape[0]:
+            return
+        T, Bc = tentative_prolongation(agg, B, block_size)
+        T_ref, Bc_ref = _tentative_per_aggregate(agg, B, block_size)
+        assert _same_bytes(T, T_ref)
+        assert Bc.dtype == Bc_ref.dtype and Bc.tobytes() == Bc_ref.tobytes()
+        K = _galerkin(K, smoothed_prolongation(K, T))
+        B, block_size = Bc, B.shape[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cantilever_designs())
+def test_batched_tentative_prolongation_is_byte_identical_to_per_aggregate_qr(case):
+    mesh, bc, K, _ = case
+    _assert_tentative_matches_per_aggregate_qr(K, rigid_body_modes(mesh, bc.fixed_dofs),
+                                               2, n_levels=2)
+
+
+def test_batched_tentative_prolongation_3d_six_candidates():
+    mesh, bc, K = cantilever_k((6, 4, 4))
+    B = rigid_body_modes(mesh, bc.fixed_dofs)
+    assert B.shape[1] == 6
+    _assert_tentative_matches_per_aggregate_qr(K, B, 3, n_levels=2)
+
+
+def test_tentative_prolongation_rejects_an_undersized_aggregate():
+    B = np.random.default_rng(0).standard_normal((8, 3))
+    # aggregate 1 has one node (2 dofs) for 3 candidates
+    with pytest.raises(ValueError, match="2 dofs cannot carry 3 candidates"):
+        tentative_prolongation(np.array([0, 0, 0, 1]), B, 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(cantilever_designs(), st.sampled_from(["weighted_jacobi", "block_jacobi"]))
 def test_sa_vcycle_is_linear(case, kind):
@@ -349,8 +407,10 @@ def _same_bytes(a, b):
 
 
 def test_galerkin_is_byte_identical_to_the_triple_product():
+    """Bit-equal to P^T A P below DENSE_FRACTION; the dense form of the
+    products at or above it sums in another order, so it agrees to rounding."""
     rng = np.random.default_rng(4)
-    products = 0
+    products = dense = 0
     m3, bc3 = cantilever3d_problem((8, 4, 4))
     K3 = assemble_stiffness(m3, bc3, rng.uniform(0.01, 1.0, m3.element_count))
     # a uniform design, where some entries of the products cancel exactly
@@ -361,14 +421,23 @@ def test_galerkin_is_byte_identical_to_the_triple_product():
             h, _ = harness.build(K)
             for lv, coarse in zip(h.levels, h.levels[1:]):
                 expected = _triple_product(lv.A, lv.P)
-                assert _same_bytes(coarse.A, expected)
-                assert _same_bytes(_galerkin(lv.A, lv.P), expected)
+                if lv.A.nnz < DENSE_FRACTION * lv.A.shape[0] ** 2:
+                    assert _same_bytes(coarse.A, expected)
+                    assert _same_bytes(_galerkin(lv.A, lv.P), expected)
+                else:
+                    assert abs(coarse.A - expected).max() <= 1e-13 * abs(expected).max()
+                    dense += 1
                 products += 1
-    assert products >= 12
+    assert products >= 12 and products - dense >= 8 and dense >= 1
     # the form does not rely on symmetry
     A = sp.random(80, 80, density=0.15, random_state=rng, format="csr")
     P = sp.random(80, 20, density=0.2, random_state=rng, format="csr")
     assert _same_bytes(_galerkin(A, P), _triple_product(A, P))
+    A = sp.random(80, 80, density=0.5, random_state=rng, format="csr")
+    Ac = _galerkin(A, P)
+    expected = _triple_product(A, P)
+    assert Ac.has_canonical_format and np.all(Ac.data != 0)
+    assert abs(Ac - expected).max() <= 1e-13 * abs(expected).max()
 
 
 def _column_k(dims, moduli):
