@@ -4,8 +4,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# void stiffness of the SIMP law as a fraction of e_max
-E_MIN_RATIO = 1e-10
+# solid modulus of both laws, the void modulus of the SIMP law, and the
+# density below which the stress law is zero
+E_MAX = 1.0
+E_MIN = 1e-10
+STRESS_CUTOFF = 0.1
 # a schedule leg's span may exceed a whole number of increments by this
 # fraction of one increment (rounding of the division) and still reach it
 SPAN_TOLERANCE = 1e-9
@@ -13,51 +16,44 @@ SPAN_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class SimpLaw:
-    """Modified power-law interpolation E(rho) = e_min + (e_max - e_min) rho^p."""
+    """Modified power-law interpolation E(rho) = E_MIN + (E_MAX - E_MIN) rho^p."""
 
-    e_max: float = 1.0
     penalty: float = 3.0
-
-    @property
-    def e_min(self):
-        return E_MIN_RATIO * self.e_max
 
     def modulus(self, rho):
         rho = np.asarray(rho, dtype=float)
         if np.any((rho < 0) | (rho > 1)):
             raise ValueError("rho must lie in [0, 1]")
-        return self.e_min + (self.e_max - self.e_min) * rho ** self.penalty
+        return E_MIN + (E_MAX - E_MIN) * rho ** self.penalty
 
     def modulus_derivative(self, rho):
         rho = np.asarray(rho, dtype=float)
         p = self.penalty
-        return p * (self.e_max - self.e_min) * rho ** (p - 1.0)
+        return p * (E_MAX - E_MIN) * rho ** (p - 1.0)
 
 
 @dataclass(frozen=True)
 class StressSimpLaw:
-    """Stress-stiffness interpolation: e_max * rho^p above the threshold, 0 below.
+    """Stress-stiffness interpolation: E_MAX * rho^p from STRESS_CUTOFF up, 0 below.
 
     The cutoff keeps spurious buckling modes out of void regions. The derivative
-    at the threshold is taken from the right branch (the kink is left undefined
+    at the cutoff is taken from the right branch (the kink is left undefined
     by the formulation).
     """
 
-    e_max: float = 1.0
     penalty: float = 3.0
-    threshold: float = 0.1
 
     def modulus(self, rho):
         rho = np.asarray(rho, dtype=float)
         if np.any((rho < 0) | (rho > 1)):
             raise ValueError("rho must lie in [0, 1]")
-        return np.where(rho >= self.threshold, self.e_max * rho ** self.penalty, 0.0)
+        return np.where(rho >= STRESS_CUTOFF, E_MAX * rho ** self.penalty, 0.0)
 
     def modulus_derivative(self, rho):
         rho = np.asarray(rho, dtype=float)
         p = self.penalty
-        d = p * self.e_max * rho ** (p - 1.0)
-        return np.where(rho >= self.threshold, d, 0.0)
+        d = p * E_MAX * rho ** (p - 1.0)
+        return np.where(rho >= STRESS_CUTOFF, d, 0.0)
 
 
 @dataclass(frozen=True)
@@ -79,6 +75,8 @@ class PenaltySchedule:
             raise ValueError("start must be <= stop")
         if self.increment <= 0 or (self.increment2 is not None and self.increment2 <= 0):
             raise ValueError("increment and increment2 must be positive")
+        if self.stop2 is None and (self.increment2 is not None or self.steps2 is not None):
+            raise ValueError("increment2 and steps2 need stop2, the end of the second leg")
         if self.stop2 is not None and self.stop2 < self.stop:
             raise ValueError("stop2 must be >= stop")
         if self.steps_per_value < 1 or (self.steps2 is not None and self.steps2 < 1):

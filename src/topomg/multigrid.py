@@ -556,27 +556,3 @@ def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
                           lu.solve))
     return MgHierarchy(levels, flags, aggregates)
 
-
-# ---------------------------------------------------------------------------
-# adaptive hybrid controller
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AdaptiveHybridController:
-    """Demote one geometric level whenever a solve needs too many iterations."""
-
-    n_geo_current: int
-    min_geo: int = 2
-    iteration_threshold: int = 200
-
-    def __post_init__(self):
-        if self.n_geo_current < self.min_geo:
-            raise ValueError("n_geo_current below the geometric floor")
-
-
-def adapt_after_solve(ctrl, last_iterations):
-    """Return 'rebuild' (and decrement n_geo) or 'keep' per the >threshold rule."""
-    if last_iterations > ctrl.iteration_threshold and ctrl.n_geo_current > ctrl.min_geo:
-        ctrl.n_geo_current -= 1
-        return "rebuild"
-    return "keep"

@@ -17,8 +17,7 @@ from .eigensolver import DavidsonConfig, generalized_davidson
 from .material import PenaltySchedule, SimpLaw, StressSimpLaw
 from .mesh import (assemble_stiffness, assemble_stress_stiffness, element_stiffness,
                    geometric_stiffness_tensor, rigid_body_modes)
-from .multigrid import (AdaptiveHybridController, Aggregates, SmootherConfig,
-                        adapt_after_solve, build_hybrid, gmg_level_dims)
+from .multigrid import Aggregates, SmootherConfig, build_hybrid, gmg_level_dims
 
 # exponent of the p-norm aggregate of the buckling eigenvalues
 P_NORM = 8
@@ -35,6 +34,17 @@ MMA_BISECTION_ITERATIONS = 100
 
 # preconditioner strategies of SolverHarness
 STRATEGIES = ("gmg", "amg", "hybrid", "hybrid_adaptive", "none")
+# 'hybrid_adaptive' gives up one geometric level after a solve of more than
+# ADAPTIVE_ITERATIONS iterations, down to ADAPTIVE_MIN_GEO geometric levels
+ADAPTIVE_ITERATIONS = 200
+ADAPTIVE_MIN_GEO = 2
+
+
+def adapted_depth(n_geo, iterations):
+    """The adaptive strategy's geometric depth after a solve of `iterations`."""
+    if iterations > ADAPTIVE_ITERATIONS and n_geo > ADAPTIVE_MIN_GEO:
+        return n_geo - 1
+    return n_geo
 
 
 @dataclass
@@ -76,10 +86,12 @@ def _check_converged(what, record, n_modes=None):
 class SolverHarness:
     """Builds a multigrid preconditioner for each operator and runs GMRES.
 
-    strategy: one of STRATEGIES. The adaptive variant demotes geometric
-    levels via the >200-iteration rule. `aggregates` are those of an
-    earlier 'amg' build; an 'amg' build refreshes them on its operator
-    instead of aggregating again (`build_hybrid`'s `like`).
+    strategy: one of STRATEGIES. 'hybrid_adaptive' starts at n_geo, clamped
+    to [ADAPTIVE_MIN_GEO, levels - 1], and lowers n_geo by `adapted_depth`
+    after every solve. `aggregates` are those of an earlier 'amg' build; an
+    'amg' build refreshes them on its operator instead of aggregating again
+    (`build_hybrid`'s `like`). A run (`run_optimization`) keeps both on its
+    own copy of the harness.
     """
 
     mesh: object
@@ -90,17 +102,15 @@ class SolverHarness:
     solve_cfg: krylov.SolveConfig = field(default_factory=krylov.SolveConfig)
     fixed_dofs: np.ndarray | None = None
     seed: int = 0
-    controller: AdaptiveHybridController | None = None
     aggregates: Aggregates | None = None
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError("unknown preconditioner strategy %r" % self.strategy)
-        if self.strategy == "hybrid_adaptive" and self.controller is None:
+        if self.strategy == "hybrid_adaptive":
             n_levels = len(gmg_level_dims(self.mesh.dims, self.mesh.dofs_per_node,
                                           self.coarse_max_dofs))
-            start = max(2, min(self.n_geo, n_levels - 1))
-            self.controller = AdaptiveHybridController(n_geo_current=start)
+            self.n_geo = max(ADAPTIVE_MIN_GEO, min(self.n_geo, n_levels - 1))
 
     def build(self, K):
         """The strategy's point on the n_geo axis of `build_hybrid`, built;
@@ -108,9 +118,7 @@ class SolverHarness:
         t0 = time.perf_counter()
         if self.strategy == "none":
             return None, time.perf_counter() - t0
-        n_geo = {"amg": 0, "gmg": None, "hybrid": self.n_geo,
-                 "hybrid_adaptive": getattr(self.controller, "n_geo_current", None)
-                 }[self.strategy]
+        n_geo = {"amg": 0, "gmg": None}.get(self.strategy, self.n_geo)
         B = (rigid_body_modes(self.mesh, self.fixed_dofs)
              if n_geo == 0 and self.aggregates is None else None)
         h = build_hybrid(self.mesh, K, B, n_geo, self.coarse_max_dofs, self.smoother,
@@ -131,7 +139,7 @@ class SolverHarness:
         x, rec = solve(K, f, x0, M, self.solve_cfg)
         rec.setup_time = setup
         if self.strategy == "hybrid_adaptive":
-            adapt_after_solve(self.controller, rec.iterations)
+            self.n_geo = adapted_depth(self.n_geo, rec.iterations)
         return x, rec, hierarchy
 
 
@@ -382,9 +390,13 @@ def run_optimization(problem, callback=None):
     by the benchmark CSV plus objective and volume. A step's operators (K,
     the hierarchy and, in stability mode, K_sigma) are released once the
     callback returns, so the next step assembles and builds without them.
-    Only the hierarchy's `aggregates` are kept (None but for pure AMG), in the
-    run's own copy of the harness: a pure AMG run aggregates only at its first
-    step, and `problem.harness` is left as it was.
+    A run's solver state is two plain fields of its own copy of the harness:
+    the hierarchy's `aggregates` (None but for pure AMG, which so aggregates
+    only at its first step) and, for 'hybrid_adaptive', `n_geo`.
+    `problem.harness` is left as it was, so every run starts alike. The final
+    DesignState holds the returned alpha and its filtered rho, but the
+    objective and sensitivity of the last evaluated design, the one before
+    the last MMA update.
     """
     mesh = problem.mesh
     harness = replace(problem.harness)

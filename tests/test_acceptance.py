@@ -20,12 +20,11 @@ from topomg.krylov import SolveConfig
 from topomg.material import PenaltySchedule, SimpLaw, StressSimpLaw
 from topomg.mesh import (assemble_stiffness, assemble_stress_stiffness,
                          build_filter, rigid_body_modes)
-from topomg.multigrid import (AdaptiveHybridController, SmootherConfig,
-                              adapt_after_solve, aggregate_nodes, build_gmg,
+from topomg.multigrid import (SmootherConfig, aggregate_nodes, build_gmg,
                               build_hybrid, build_sa_amg,
                               strength_of_connection, tentative_prolongation,
                               _merge_small_aggregates)
-from topomg.optimization import (OptimizationProblem, SolverHarness,
+from topomg.optimization import (OptimizationProblem, SolverHarness, adapted_depth,
                                  pnorm_aggregate, run_optimization,
                                  compliance_and_sensitivity,
                                  stability_objective_and_sensitivity)
@@ -320,18 +319,16 @@ def test_06_grid_diagnostic_corner_structure(grid_corner_solves):
 def test_07_adaptive_controller_rules():
     ok = True
     # decrement exactly on >200, monotone nonincreasing, floored at 2
-    ctrl = AdaptiveHybridController(n_geo_current=5)
+    n = 5
     seq = [150, 200, 201, 180, 250, 400, 300, 201, 250, 100]
     trace = []
     for its in seq:
-        adapt_after_solve(ctrl, its)
-        trace.append(ctrl.n_geo_current)
+        n = adapted_depth(n, its)
+        trace.append(n)
     ok &= trace == [5, 5, 4, 4, 3, 2, 2, 2, 2, 2]
     ok &= all(a >= b for a, b in zip(trace, trace[1:]))
-    ctrl2 = AdaptiveHybridController(n_geo_current=2)
-    ok &= adapt_after_solve(ctrl2, 10_000) == "keep" and ctrl2.n_geo_current == 2
-    ctrl3 = AdaptiveHybridController(n_geo_current=3)
-    ok &= adapt_after_solve(ctrl3, 201) == "rebuild" and ctrl3.n_geo_current == 2
+    ok &= adapted_depth(2, 10_000) == 2
+    ok &= adapted_depth(3, 201) == 2
     check(7, "adaptive hybrid controller rules", ok)
 
 

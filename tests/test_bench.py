@@ -353,6 +353,9 @@ def test_cli_misspelled_key_exit_1(tmp_path, raw):
     {**SMALL_RUN, "solver": {"max_iterations": 0}},
     {**SMALL_RUN, "problem": "column_stability", "resolution": [4, 16],
      "eigen": {"max_iterations": 0}},
+    # a second leg without stop2 was dropped without a word
+    {**SMALL_RUN, "schedule": {"stop": 1.5, "increment": 0.5, "steps_per_value": 1,
+                               "increment2": 0.25, "steps2": 3}},
 ])
 def test_cli_config_error_exit_1_before_any_output(tmp_path, raw):
     bad = tmp_path / "bad.json"

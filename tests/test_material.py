@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from topomg.material import PenaltySchedule, SimpLaw, StressSimpLaw
+from topomg.material import E_MAX, E_MIN, PenaltySchedule, SimpLaw, StressSimpLaw
 
 
 def central_fd(f, x, h=1e-6):
@@ -11,13 +11,13 @@ def central_fd(f, x, h=1e-6):
 
 
 def test_simp_endpoints():
-    law = SimpLaw(e_max=1.0, penalty=3.0)
+    law = SimpLaw(penalty=3.0)
     assert law.modulus(1.0) == pytest.approx(1.0)
     assert law.modulus(0.0) == pytest.approx(1e-10)
 
 
 def test_simp_linear_case():
-    law = SimpLaw(e_max=1.0, penalty=1.0)
+    law = SimpLaw(penalty=1.0)
     assert law.modulus(0.5) == pytest.approx(0.5 + 0.5e-10, rel=0, abs=1e-16)
 
 
@@ -30,56 +30,56 @@ def test_simp_rejects_out_of_range():
 
 
 def test_simp_monotone_and_bounded():
-    law = SimpLaw(e_max=2.0, penalty=3.5)
+    law = SimpLaw(penalty=3.5)
     rho = np.linspace(0, 1, 101)
     E = law.modulus(rho)
     assert np.all(np.diff(E) > 0)
-    assert E.min() >= law.e_min and E.max() <= law.e_max
+    assert E.min() >= E_MIN and E.max() <= E_MAX
 
 
 def test_simp_derivative_constant_for_p1():
     rho = np.array([0.0, 0.3, 1.0])  # rho ** 0.0 is exactly 1.0, at rho = 0 too
     assert np.array_equal(SimpLaw(penalty=1.0).modulus_derivative(rho), [1.0 - 1e-10] * 3)
-    assert np.array_equal(StressSimpLaw(e_max=2.0, penalty=1.0).modulus_derivative(rho),
-                          [0.0, 2.0, 2.0])
+    assert np.array_equal(StressSimpLaw(penalty=1.0).modulus_derivative(rho),
+                          [0.0, 1.0, 1.0])
 
 
 def test_simp_derivative_zero_at_origin_p2():
-    law = SimpLaw(e_max=1.0, penalty=2.0)
+    law = SimpLaw(penalty=2.0)
     assert law.modulus_derivative(0.0) == 0.0
 
 
 def test_simp_derivative_matches_fd():
     for p in (1.0, 2.0, 3.0, 4.0):
-        law = SimpLaw(e_max=1.0, penalty=p)
+        law = SimpLaw(penalty=p)
         for rho in np.arange(0.1, 0.95, 0.1):
             fd = central_fd(law.modulus, rho)
             assert law.modulus_derivative(rho) == pytest.approx(fd, rel=1e-6)
 
 
 def test_simp_derivative_fd_specific_point():
-    law = SimpLaw(e_max=1.0, penalty=3.0)
+    law = SimpLaw(penalty=3.0)
     fd = central_fd(law.modulus, 0.7)
     assert law.modulus_derivative(0.7) == pytest.approx(fd, rel=1e-6)
 
 
 def test_stress_simp_threshold():
-    law = StressSimpLaw(e_max=1.0, penalty=3.0)
+    law = StressSimpLaw(penalty=3.0)
     assert law.modulus(0.09) == 0.0
     assert law.modulus(1.0) == pytest.approx(1.0)
-    assert StressSimpLaw(e_max=1.0, penalty=2.0).modulus(0.5) == pytest.approx(0.25)
+    assert StressSimpLaw(penalty=2.0).modulus(0.5) == pytest.approx(0.25)
 
 
 def test_stress_simp_continuous_from_right():
-    law = StressSimpLaw(e_max=1.0, penalty=3.0)
+    law = StressSimpLaw(penalty=3.0)
     assert law.modulus(0.1) == pytest.approx(0.1 ** 3)
     assert law.modulus_derivative(0.1) == pytest.approx(3 * 0.1 ** 2)
     assert law.modulus_derivative(0.0999) == 0.0
 
 
 def test_stress_vs_simp_ratio_discontinuity_only_at_threshold():
-    law = SimpLaw(e_max=1.0, penalty=3.0)
-    slaw = StressSimpLaw(e_max=1.0, penalty=3.0)
+    law = SimpLaw(penalty=3.0)
+    slaw = StressSimpLaw(penalty=3.0)
     rho = np.linspace(0.01, 1.0, 500)
     ratio = slaw.modulus(rho) / law.modulus(rho)
     jumps = np.abs(np.diff(ratio))
@@ -89,7 +89,7 @@ def test_stress_vs_simp_ratio_discontinuity_only_at_threshold():
 
 def test_stress_derivative_matches_fd_above_threshold():
     for p in (2.0, 3.0):
-        law = StressSimpLaw(e_max=1.0, penalty=p)
+        law = StressSimpLaw(penalty=p)
         for rho in (0.2, 0.5, 0.9):
             fd = central_fd(law.modulus, rho)
             assert law.modulus_derivative(rho) == pytest.approx(fd, rel=1e-6)
@@ -152,3 +152,6 @@ def test_schedule_validation():
             PenaltySchedule(**bad)
     with pytest.raises(ValueError, match="stop2"):
         PenaltySchedule(stop=2.0, stop2=1.5, steps2=3)
+    for leg in ({"increment2": 0.25}, {"steps2": 3}):
+        with pytest.raises(ValueError, match="stop2"):
+            PenaltySchedule(stop=2.0, increment=0.5, steps_per_value=1, **leg)

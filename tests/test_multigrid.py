@@ -8,18 +8,18 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import topomg.optimization as optimization
 from topomg.bench import cantilever2d_problem, cantilever3d_problem, column_problem
 from topomg.material import SimpLaw
 from topomg.mesh import (BoundaryConditions, assemble_stiffness, build_mesh,
                          rigid_body_modes)
-from topomg.multigrid import (DENSE_FRACTION, AdaptiveHybridController,
-                              SmootherConfig, _galerkin, _merge_small_aggregates,
-                              adapt_after_solve, aggregate_nodes, build_gmg,
+from topomg.multigrid import (DENSE_FRACTION, SmootherConfig, _galerkin,
+                              _merge_small_aggregates, aggregate_nodes, build_gmg,
                               build_hybrid, build_sa_amg, estimate_spectral_radius,
                               geometric_prolongation, gmg_level_dims, make_smoother,
                               smoothed_prolongation, strength_of_connection,
                               tentative_prolongation)
-from topomg.optimization import SolverHarness
+from topomg.optimization import SolverHarness, adapted_depth
 
 
 def cantilever_k(dims, moduli=None, seed=0):
@@ -515,16 +515,16 @@ def test_harness_rejects_unknown_strategy_when_built():
         SolverHarness(mesh=build_mesh((4, 2), (1.0, 1.0)), strategy="agm")
 
 
-def test_harness_adaptive_demotes_one_geometric_level_per_slow_solve():
+def test_harness_adaptive_demotes_one_geometric_level_per_slow_solve(monkeypatch):
+    monkeypatch.setattr(optimization, "ADAPTIVE_ITERATIONS", 1)
     mesh, bc, K = cantilever_k((32, 16))  # 5 geometric levels down to 20 dofs
-    ctrl = AdaptiveHybridController(n_geo_current=3, min_geo=2, iteration_threshold=1)
     harness = SolverHarness(mesh=mesh, strategy="hybrid_adaptive", coarse_max_dofs=20,
-                            fixed_dofs=bc.fixed_dofs, controller=ctrl)
+                            n_geo=3, fixed_dofs=bc.fixed_dofs)
     seen = []
     for _ in range(3):
         _, rec, h = harness.solve(K, bc.load_vector)
-        assert rec.converged and rec.iterations > ctrl.iteration_threshold
-        seen.append((h.n_geometric, ctrl.n_geo_current))
+        assert rec.converged and rec.iterations > optimization.ADAPTIVE_ITERATIONS
+        seen.append((h.n_geometric, harness.n_geo))
     assert seen == [(3, 2), (2, 2), (2, 2)]
 
 
@@ -711,38 +711,32 @@ def test_singular_block_errors():
 
 
 # ---------------------------------------------------------------------------
-# adaptive hybrid controller
+# adaptive depth rule
 # ---------------------------------------------------------------------------
 
 def test_controller_keep_below_threshold():
-    ctrl = AdaptiveHybridController(n_geo_current=5)
-    assert adapt_after_solve(ctrl, 150) == "keep"
-    assert ctrl.n_geo_current == 5
+    assert adapted_depth(5, 150) == 5
 
 
 def test_controller_decrement_on_trigger():
-    ctrl = AdaptiveHybridController(n_geo_current=6)
-    assert adapt_after_solve(ctrl, 201) == "rebuild"
-    assert ctrl.n_geo_current == 5
+    assert adapted_depth(6, 201) == 5
 
 
 def test_controller_floor():
-    ctrl = AdaptiveHybridController(n_geo_current=2)
-    assert adapt_after_solve(ctrl, 500) == "keep"
-    assert ctrl.n_geo_current == 2
+    assert adapted_depth(2, 500) == 2
 
 
 def test_controller_monotone_nonincreasing():
-    ctrl = AdaptiveHybridController(n_geo_current=6)
+    n = 6
     seq = [250, 50, 300, 800, 10, 999, 201, 400]
     history = []
     for it in seq:
-        adapt_after_solve(ctrl, it)
-        history.append(ctrl.n_geo_current)
+        n = adapted_depth(n, it)
+        history.append(n)
     assert all(a >= b for a, b in zip(history, history[1:]))
     assert history[-1] >= 2
 
 
 def test_controller_validates_floor():
-    with pytest.raises(ValueError):
-        AdaptiveHybridController(n_geo_current=1)
+    mesh = build_mesh((32, 16), (1.0, 1.0))
+    assert SolverHarness(mesh=mesh, strategy="hybrid_adaptive", n_geo=1).n_geo == 2

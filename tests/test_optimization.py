@@ -664,6 +664,25 @@ def test_amg_run_aggregates_only_at_its_first_step(monkeypatch):
     assert strength_steps == [(0, 0)] * n_algebraic + [(1, 0)] * n_algebraic
 
 
+@pytest.mark.parametrize("strategy", optimization.STRATEGIES)
+def test_runs_of_one_problem_do_not_share_solver_state(monkeypatch, strategy):
+    # every solve counts as slow, so 'hybrid_adaptive' demotes after each one
+    monkeypatch.setattr(optimization, "ADAPTIVE_ITERATIONS", 1)
+    mesh, bc = cantilever2d_problem((32, 16))
+    harness = SolverHarness(mesh=mesh, strategy=strategy, n_geo=3, coarse_max_dofs=20,
+                            fixed_dofs=bc.fixed_dofs)
+    sched = PenaltySchedule(start=1.0, stop=1.0, steps_per_value=3)
+    prob = OptimizationProblem(mesh=mesh, bc=bc, filt=build_filter(mesh, 1.5),
+                               schedule=sched, volume_fraction=0.4, harness=harness)
+    columns = ("n_geo", "solve_iters", "objective")
+    runs = [[[row[c] for row in run_optimization(prob)[0]] for c in columns]
+            for _ in range(2)]
+    assert runs[0] == runs[1]
+    if strategy == "hybrid_adaptive":
+        assert runs[0][:2] == [[3, 2, 2], [15, 14, 14]]
+    assert prob.harness.n_geo == 3 and prob.harness.aggregates is None
+
+
 def _owner(a):
     """The array that owns a's memory."""
     while a.base is not None:
