@@ -216,7 +216,7 @@ def generate_grid_structure(spec):
 GRID_DEFAULTS = {"domain": 264, "feature_width": 4, "pitches": (8, 16, 32, 64, 128)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchConfig:
     problem: str
     resolution: tuple | None = None

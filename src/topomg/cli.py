@@ -26,10 +26,9 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(path, output_override):
     with open(path) as fh:
         raw = json.load(fh)
-    cfg = bench.BenchConfig.from_dict(raw)
-    if output_override:
-        cfg.output_dir = output_override
-    return cfg
+    if output_override and isinstance(raw, dict):
+        raw["output_dir"] = output_override
+    return bench.BenchConfig.from_dict(raw)
 
 
 def _cmd_run(args):

@@ -34,14 +34,16 @@ MMA_BISECTION_ITERATIONS = 100
 
 # preconditioner strategies of SolverHarness
 STRATEGIES = ("gmg", "amg", "hybrid", "hybrid_adaptive", "none")
-# 'hybrid_adaptive' gives up one geometric level after a solve of more than
-# ADAPTIVE_ITERATIONS iterations, down to ADAPTIVE_MIN_GEO geometric levels
+# a 'hybrid_adaptive' run gives up one geometric level after a design step
+# whose slowest solve took more than ADAPTIVE_ITERATIONS iterations, down to
+# ADAPTIVE_MIN_GEO geometric levels
 ADAPTIVE_ITERATIONS = 200
 ADAPTIVE_MIN_GEO = 2
 
 
 def adapted_depth(n_geo, iterations):
-    """The adaptive strategy's geometric depth after a solve of `iterations`."""
+    """The adaptive strategy's geometric depth after a design step whose
+    slowest solve took `iterations`."""
     if iterations > ADAPTIVE_ITERATIONS and n_geo > ADAPTIVE_MIN_GEO:
         return n_geo - 1
     return n_geo
@@ -82,16 +84,16 @@ def _check_converged(what, record, n_modes=None):
 # preconditioned solver harness
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SolverHarness:
     """Builds a multigrid preconditioner for each operator and runs GMRES.
 
-    strategy: one of STRATEGIES. 'hybrid_adaptive' starts at n_geo, clamped
-    to [ADAPTIVE_MIN_GEO, levels - 1], and lowers n_geo by `adapted_depth`
-    after every solve. `aggregates` are those of an earlier 'amg' build; an
-    'amg' build refreshes them on its operator instead of aggregating again
-    (`build_hybrid`'s `like`). A run (`run_optimization`) keeps both on its
-    own copy of the harness.
+    A frozen value: `build` and `solve` never change it. strategy: one of
+    STRATEGIES. 'hybrid_adaptive' builds at n_geo, clamped to
+    [ADAPTIVE_MIN_GEO, levels - 1]. `aggregates` are those of an earlier
+    'amg' build; an 'amg' build refreshes them on its operator instead of
+    aggregating again (`build_hybrid`'s `like`). `run_optimization` moves
+    both from one design step to the next by replacing the harness.
     """
 
     mesh: object
@@ -110,7 +112,8 @@ class SolverHarness:
         if self.strategy == "hybrid_adaptive":
             n_levels = len(gmg_level_dims(self.mesh.dims, self.mesh.dofs_per_node,
                                           self.coarse_max_dofs))
-            self.n_geo = max(ADAPTIVE_MIN_GEO, min(self.n_geo, n_levels - 1))
+            object.__setattr__(self, "n_geo",
+                               max(ADAPTIVE_MIN_GEO, min(self.n_geo, n_levels - 1)))
 
     def build(self, K):
         """The strategy's point on the n_geo axis of `build_hybrid`, built;
@@ -138,8 +141,6 @@ class SolverHarness:
         solve = krylov.fgmres_solve if flexible else krylov.gmres_solve
         x, rec = solve(K, f, x0, M, self.solve_cfg)
         rec.setup_time = setup
-        if self.strategy == "hybrid_adaptive":
-            self.n_geo = adapted_depth(self.n_geo, rec.iterations)
         return x, rec, hierarchy
 
 
@@ -217,7 +218,8 @@ def stability_objective_and_sensitivity(mesh, bc, filt, law, stress_law, alpha,
     """Aggregated buckling objective F = (sum lambda_i^8)^(1/8) and dF/dalpha.
 
     One adjoint solve per mode, all started from zero. Returns (F, dF/dalpha, aux)
-    with the eigensolver result and solve records in aux. Raises SolveFailed
+    with the eigensolver result, the state solve's record and the adjoint
+    solves' summed and largest iteration counts in aux. Raises SolveFailed
     if the displacement solve, an adjoint solve or the eigensolve does not
     converge.
     """
@@ -236,7 +238,7 @@ def stability_objective_and_sensitivity(mesh, bc, filt, law, stress_law, alpha,
     _check_converged("eigensolve", eig, eig_cfg.n_modes)
     n_used = eig.eigenvalues.size
     dlam = np.zeros((n_used, mesh.element_count))
-    adjoint_iters = 0
+    adjoint_iters = adjoint_slowest = 0
     t_adj = time.perf_counter()
     for i in range(n_used):
         phi = eig.eigenvectors[:, i]
@@ -244,6 +246,7 @@ def stability_objective_and_sensitivity(mesh, bc, filt, law, stress_law, alpha,
         v, arec, _ = harness.solve(K, rhs, x0=None, hierarchy=hierarchy)
         _check_converged("adjoint solve %d" % i, arec)
         adjoint_iters += arec.iterations
+        adjoint_slowest = max(adjoint_slowest, arec.iterations)
         dlam[i] = eigenvalue_sensitivity(mesh, law, stress_law, rho, u,
                                          eig.eigenvalues[i], phi, v)
     t_adj = time.perf_counter() - t_adj
@@ -254,7 +257,8 @@ def stability_objective_and_sensitivity(mesh, bc, filt, law, stress_law, alpha,
     dF_dalpha = filt.apply_transpose(dF_drho)
     aux = {"u": u, "K": K, "Ks": Ks, "record": rec, "hierarchy": hierarchy,
            "eig": eig, "eig_time": t_eig, "adjoint_time": t_adj,
-           "adjoint_iterations": adjoint_iters, "rho": rho}
+           "adjoint_iterations": adjoint_iters, "adjoint_slowest": adjoint_slowest,
+           "rho": rho}
     return F, dF_dalpha, aux
 
 
@@ -367,7 +371,7 @@ def mma_update(x, dfdx, g, dgdx, state):
 # optimization loop
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizationProblem:
     mesh: object
     bc: object
@@ -390,16 +394,18 @@ def run_optimization(problem, callback=None):
     by the benchmark CSV plus objective and volume. A step's operators (K,
     the hierarchy and, in stability mode, K_sigma) are released once the
     callback returns, so the next step assembles and builds without them.
-    A run's solver state is two plain fields of its own copy of the harness:
-    the hierarchy's `aggregates` (None but for pure AMG, which so aggregates
-    only at its first step) and, for 'hybrid_adaptive', `n_geo`.
-    `problem.harness` is left as it was, so every run starts alike. The final
+    A run's solver state is its harness, a frozen value: the run starts from
+    `problem.harness` and, after each step, replaces it with one that carries
+    the step hierarchy's `aggregates` (None but for pure AMG, which so
+    aggregates only at its first step) and, for 'hybrid_adaptive', the
+    `adapted_depth` of the step's slowest solve, so the depth drops at most
+    one level per step. Every run of a problem starts alike. The final
     DesignState holds the returned alpha and its filtered rho, but the
     objective and sensitivity of the last evaluated design, the one before
     the last MMA update.
     """
     mesh = problem.mesh
-    harness = replace(problem.harness)
+    harness = problem.harness
     n_el = mesh.element_count
     alpha = np.full(n_el, problem.volume_fraction)
     mma = MmaState()
@@ -427,7 +433,11 @@ def run_optimization(problem, callback=None):
                             volume_fraction=vol)
         rec = aux["record"]
         hier = aux["hierarchy"]
-        harness.aggregates = hier.aggregates if hier is not None else None
+        n_geo = harness.n_geo
+        if harness.strategy == "hybrid_adaptive":
+            n_geo = adapted_depth(n_geo, max(rec.iterations, aux.get("adjoint_slowest", 0)))
+        harness = replace(harness, n_geo=n_geo,
+                          aggregates=hier.aggregates if hier is not None else None)
         row = {
             "step": step,
             "penalty": penalty,

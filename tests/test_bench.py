@@ -6,6 +6,7 @@ import json
 import pathlib
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -106,6 +107,8 @@ def test_config_grid_forbids_schedule():
 
 def test_config_defaults():
     cfg = BenchConfig.from_dict({"problem": "cantilever2d"})
+    with pytest.raises(FrozenInstanceError):
+        cfg.output_dir = "elsewhere"
     assert cfg.resolution == (96, 48)
     assert cfg.volume_fraction == 0.4
     assert cfg.solver.rtol == 1e-7
@@ -463,6 +466,16 @@ def test_cli_run_and_report(tmp_path):
               str(tmp_path / "out" / "iterations.csv"))
     assert rep.returncode == 0
     assert "iter_ratio" in rep.stdout
+
+
+def test_cli_run_output_overrides_the_configs_output_dir(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**SMALL_RUN, "output_dir": str(tmp_path / "a")}))
+    out = cli("run", str(cfg_path), "--output", str(tmp_path / "b"))
+    assert out.returncode == 0, out.stderr
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert manifest["output_dir"] == str(tmp_path / "b")
+    assert not (tmp_path / "a").exists()
 
 
 def test_cli_grid(tmp_path):

@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCANNED = ("src", "demos", "tests")
+SCANNED = ("src", "demos", "tests", "perfbench")
 
 
 def unused_imports(source):

@@ -1,6 +1,6 @@
 """Hierarchy construction (GMG / SA-AMG / hybrid), smoothers, V-cycle, adaptivity."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -515,7 +515,8 @@ def test_harness_rejects_unknown_strategy_when_built():
         SolverHarness(mesh=build_mesh((4, 2), (1.0, 1.0)), strategy="agm")
 
 
-def test_harness_adaptive_demotes_one_geometric_level_per_slow_solve(monkeypatch):
+def test_harness_is_a_frozen_value_that_solves_at_one_depth(monkeypatch):
+    # every solve counts as slow, yet a harness never demotes itself
     monkeypatch.setattr(optimization, "ADAPTIVE_ITERATIONS", 1)
     mesh, bc, K = cantilever_k((32, 16))  # 5 geometric levels down to 20 dofs
     harness = SolverHarness(mesh=mesh, strategy="hybrid_adaptive", coarse_max_dofs=20,
@@ -525,7 +526,9 @@ def test_harness_adaptive_demotes_one_geometric_level_per_slow_solve(monkeypatch
         _, rec, h = harness.solve(K, bc.load_vector)
         assert rec.converged and rec.iterations > optimization.ADAPTIVE_ITERATIONS
         seen.append((h.n_geometric, harness.n_geo))
-    assert seen == [(3, 2), (2, 2), (2, 2)]
+    assert seen == [(3, 3)] * 3
+    with pytest.raises(FrozenInstanceError):
+        harness.n_geo = 2
 
 
 @pytest.mark.parametrize("kind, expected", [("weighted_jacobi", "gmres"),

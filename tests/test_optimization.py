@@ -657,30 +657,54 @@ def test_amg_run_aggregates_only_at_its_first_step(monkeypatch):
         run_step[:] = [run, 0]
         history, _ = run_optimization(prob, next_step)
         assert len(history) == 25
-        # the kept aggregates live in the run's own copy of the harness
+        # the kept aggregates live in the run's own harness values
         assert prob.harness.aggregates is None
     # per run, one strength graph per algebraic level of its first hierarchy
     n_algebraic = history[0]["levels"] - 1
     assert strength_steps == [(0, 0)] * n_algebraic + [(1, 0)] * n_algebraic
 
 
-@pytest.mark.parametrize("strategy", optimization.STRATEGIES)
-def test_runs_of_one_problem_do_not_share_solver_state(monkeypatch, strategy):
-    # every solve counts as slow, so 'hybrid_adaptive' demotes after each one
+def _three_step_problem(strategy, mode):
+    """Three design steps: the 32x16 cantilever at penalty 1 (n_geo 3), or
+    the 16x64 column at penalties 1, 1.5 and 2 with 6 modes (n_geo 5, which
+    'hybrid_adaptive' clamps to 4, its geometric levels less one)."""
+    if mode == "compliance":
+        mesh, bc = cantilever2d_problem((32, 16))
+        harness = SolverHarness(mesh=mesh, strategy=strategy, n_geo=3, coarse_max_dofs=20,
+                                fixed_dofs=bc.fixed_dofs)
+        sched = PenaltySchedule(start=1.0, stop=1.0, steps_per_value=3)
+        return OptimizationProblem(mesh=mesh, bc=bc, filt=build_filter(mesh, 1.5),
+                                   schedule=sched, volume_fraction=0.4, harness=harness)
+    mesh, bc = column_problem((16, 64))
+    harness = SolverHarness(mesh=mesh, strategy=strategy, n_geo=5, coarse_max_dofs=50,
+                            solve_cfg=SolveConfig(rtol=1e-8), fixed_dofs=bc.fixed_dofs)
+    sched = PenaltySchedule(start=1.0, stop=2.0, increment=0.5, steps_per_value=1)
+    return OptimizationProblem(mesh=mesh, bc=bc, filt=build_filter(mesh, 1.5),
+                               schedule=sched, volume_fraction=0.4, harness=harness,
+                               mode="stability", eig_cfg=DavidsonConfig(n_modes=6))
+
+
+@pytest.mark.parametrize("strategy, mode", [
+    *(pytest.param(s, "compliance", id=s) for s in optimization.STRATEGIES),
+    pytest.param("hybrid_adaptive", "stability", id="hybrid_adaptive-stability")])
+def test_runs_of_one_problem_do_not_share_solver_state(monkeypatch, strategy, mode):
+    # every step counts as slow, so 'hybrid_adaptive' demotes after each one,
+    # once per step although a stability step makes 7 solves
     monkeypatch.setattr(optimization, "ADAPTIVE_ITERATIONS", 1)
-    mesh, bc = cantilever2d_problem((32, 16))
-    harness = SolverHarness(mesh=mesh, strategy=strategy, n_geo=3, coarse_max_dofs=20,
-                            fixed_dofs=bc.fixed_dofs)
-    sched = PenaltySchedule(start=1.0, stop=1.0, steps_per_value=3)
-    prob = OptimizationProblem(mesh=mesh, bc=bc, filt=build_filter(mesh, 1.5),
-                               schedule=sched, volume_fraction=0.4, harness=harness)
+    prob = _three_step_problem(strategy, mode)
+    harness = prob.harness
+    start = harness.n_geo
     columns = ("n_geo", "solve_iters", "objective")
     runs = [[[row[c] for row in run_optimization(prob)[0]] for c in columns]
             for _ in range(2)]
     assert runs[0] == runs[1]
-    if strategy == "hybrid_adaptive":
+    if strategy == "hybrid_adaptive" and mode == "compliance":
         assert runs[0][:2] == [[3, 2, 2], [15, 14, 14]]
-    assert prob.harness.n_geo == 3 and prob.harness.aggregates is None
+    if mode == "stability":
+        assert start == 4 and runs[0][0] == [4, 3, 2]
+    # harness fields, not harnesses: `fixed_dofs` is an array
+    assert prob.harness is harness
+    assert harness.n_geo == start and harness.aggregates is None
 
 
 def _owner(a):
