@@ -26,10 +26,9 @@ for strategy in ("gmg", "amg", "hybrid", "none"):
                             n_geo=2, solve_cfg=SolveConfig(rtol=1e-7),
                             fixed_dofs=bc.fixed_dofs)
     x, rec, hierarchy = harness.solve(K, bc.load_vector)
-    levels = hierarchy.n_levels if hierarchy is not None else 0
-    print(f"{strategy:<10} {levels:>6} {rec.setup_time:>8.3f} "
+    print(f"{strategy:<10} {hierarchy.n_levels:>6} {rec.setup_time:>8.3f} "
           f"{rec.solve_time:>8.3f} {rec.iterations:>6}")
-    if hierarchy is not None and strategy == "hybrid":
+    if strategy == "hybrid":
         chain = " -> ".join(
             f"{lv.A.shape[0]}({lv.provenance[:3]})" for lv in hierarchy.levels)
         print(f"{'':10} hybrid hierarchy: {chain}")

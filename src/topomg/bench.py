@@ -238,9 +238,12 @@ class BenchConfig:
         default of its problem's PROBLEMS row, of GRID_DEFAULTS or of the field;
         inputs that do not fit the problem raise ValueError."""
         # imported here: at module level it would add ~4 MB to every importer of topomg
-        import jsonschema
+        from jsonschema import Draft202012Validator, validators
 
-        jsonschema.validate(raw, CONFIG_SCHEMA)
+        # JSON Schema's "integer" admits 2.0; a config's integers must be ints
+        checker = Draft202012Validator.TYPE_CHECKER.redefine(
+            "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
+        validators.extend(Draft202012Validator, type_checker=checker)(CONFIG_SCHEMA).validate(raw)
         spec = PROBLEMS[raw["problem"]]
         resolution = tuple(raw.get("resolution", spec.resolution))
         if len(resolution) != len(spec.resolution):
@@ -321,12 +324,10 @@ def _fmt(v):
 def grid_csv_row(result):
     """The GRID_CSV_HEADER line of one `run_grid_point` result; flags are the
     hierarchy's, joined by ';'."""
-    hierarchy = result["hierarchy"]
-    flags = ";".join(hierarchy.flags) if hierarchy is not None else ""
     return "%d,%d,%s,%d,%.6f,%.6f,%s,%s" % (
         result["pitch_x"], result["pitch_y"], result["strategy"],
         result["iterations"], result["setup_s"], result["solve_s"],
-        result["converged"], flags)
+        result["converged"], ";".join(result["hierarchy"].flags))
 
 
 def write_iteration_csv(path, history):
@@ -391,11 +392,6 @@ def run_benchmark(cfg):
     return 0, written
 
 
-def hierarchy_summary(hierarchy):
-    """hierarchy.summary(), or None for strategy 'none' (no hierarchy)."""
-    return hierarchy.summary() if hierarchy is not None else None
-
-
 def _run_grid_diagnostic(cfg):
     mesh, bc = grid_problem(cfg.grid["domain"])
     rows = []
@@ -405,7 +401,7 @@ def _run_grid_diagnostic(cfg):
             # solved without this one's hierarchy and solution
             res = run_grid_point(cfg, px, py, mesh, bc)
             rows.append(grid_csv_row(res))
-            summary = hierarchy_summary(res["hierarchy"])
+            summary = res["hierarchy"].summary()
             del res
     return write_grid_results(cfg.output_dir, rows, summary)
 
@@ -424,9 +420,9 @@ def write_grid_results(output_dir, rows, summary):
 
 
 def _write_hierarchy_summary(output_dir, summary):
-    """Write a `hierarchy_summary` to hierarchy_summary.json; returns the
-    written paths, none for a None summary (no hierarchy)."""
-    if summary is None:
+    """Write a hierarchy's `summary()` to hierarchy_summary.json; returns the
+    written paths, none for an empty summary (strategy 'none', no levels)."""
+    if not summary:
         return []
     path = os.path.join(output_dir, "hierarchy_summary.json")
     with open(path, "w") as fh:
@@ -443,11 +439,11 @@ def _run_optimization_benchmark(cfg):
                                   schedule=cfg.schedule,
                                   volume_fraction=cfg.volume_fraction,
                                   harness=harness, mode=spec.mode, eig_cfg=cfg.eigen)
-    last_summary = [None]
+    last_summary = [[]]
 
     def keep_summary(step, state, aux):
         # the summary, not the hierarchy: the next step is built without it
-        last_summary[0] = hierarchy_summary(aux["hierarchy"])
+        last_summary[0] = aux["hierarchy"].summary()
 
     history, state = run_optimization(problem, callback=keep_summary)
     csv_path = os.path.join(cfg.output_dir, "iterations.csv")
@@ -463,43 +459,55 @@ def _run_optimization_benchmark(cfg):
 # comparison report
 # ---------------------------------------------------------------------------
 
+def _report_table(path):
+    """(header, key columns, iteration column, rows by key) of one result CSV.
+
+    Raises ValueError if the file lacks a column the report reads, has a row
+    shorter than its header or repeats a key.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = tuple(reader.fieldnames or ())
+        if "pitch_x" in header:
+            key_cols, iter_col = ("pitch_x", "pitch_y"), "iterations"
+        else:
+            key_cols, iter_col = ("step",), "solve_iters"
+        missing = [c for c in key_cols + ("strategy", iter_col, "setup_s", "solve_s")
+                   if c not in header]
+        if missing:
+            raise ValueError("%s lacks the column(s) %s" % (path, ", ".join(missing)))
+        rows = {}
+        for r in reader:
+            if None in r.values():
+                raise ValueError("%s line %d has fewer values than columns"
+                                 % (path, reader.line_num))
+            key = tuple(r[k] for k in key_cols)
+            if key in rows:
+                raise ValueError("%s repeats the row %s=%s"
+                                 % (path, ",".join(key_cols), ",".join(key)))
+            rows[key] = r
+    return header, key_cols, iter_col, rows
+
+
 def compare_report(csv_paths):
     """Ratio tables (first strategy / second strategy) for iterations and time.
 
     Accepts exactly two per-iteration CSVs or two grid-diagnostic CSVs of one
-    schema. Returns {'key_columns', 'rows'} where each row carries the key plus
-    iteration and time ratios, in numeric order of the key.
+    schema, each with at most one row per key. Returns {'key_columns',
+    'rows'} where each row carries a key of both files plus iteration and
+    time ratios, in numeric order of the key.
     """
     if len(csv_paths) != 2:
         raise ValueError("compare_report takes two CSV files, not %d" % len(csv_paths))
-    tables = []
-    headers = []
-    for path in csv_paths:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            headers.append(tuple(reader.fieldnames))
-            tables.append(list(reader))
-    if len(set(headers)) != 1:
+    (header, key_cols, iter_col, first), (header_b, _, _, second) = map(
+        _report_table, csv_paths)
+    if header != header_b:
         raise ValueError("CSV schema mismatch across inputs")
-    header = headers[0]
-    if "pitch_x" in header:
-        key_cols = ("pitch_x", "pitch_y")
-        iter_col, time_cols = "iterations", ("setup_s", "solve_s")
-    else:
-        key_cols = ("step",)
-        iter_col, time_cols = "solve_iters", ("setup_s", "solve_s")
-    merged = {}
-    for rows in tables:
-        for r in rows:
-            key = tuple(r[k] for k in key_cols)
-            merged.setdefault(key, []).append(r)
     out_rows = []
-    for key, rows in sorted(merged.items(), key=lambda kv: [float(k) for k in kv[0]]):
-        if len(rows) < 2:
-            continue
-        a, b = rows[0], rows[1]
-        t_a = sum(float(a[c]) for c in time_cols)
-        t_b = sum(float(b[c]) for c in time_cols)
+    for key in sorted(first.keys() & second.keys(), key=lambda k: [float(v) for v in k]):
+        a, b = first[key], second[key]
+        t_a = float(a["setup_s"]) + float(a["solve_s"])
+        t_b = float(b["setup_s"]) + float(b["solve_s"])
         out_rows.append({
             "key": key,
             "strategies": (a["strategy"], b["strategy"]),

@@ -74,7 +74,7 @@ def _cmd_grid(args):
         row = bench.grid_csv_row(result)
         if "output_dir" in given:
             bench.write_grid_results(cfg.output_dir, [row],
-                                     bench.hierarchy_summary(result["hierarchy"]))
+                                     result["hierarchy"].summary())
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print("grid solve failed: %s" % exc, file=sys.stderr)
         traceback.print_exc(file=sys.stderr)

@@ -216,6 +216,8 @@ def generalized_davidson(A, B, M=None, cfg=None, initial_space=None):
     V-cycle built for B). A mode is converged when its relative residual falls
     below cfg.rtol_residual or its eigenvalue stalls between outer iterations.
     An outer iteration costs one product with A, one with B and one with M.
+    initial_space, an (n, k) array, gives the first search directions, column
+    after column, ahead of random ones.
     Raises ValueError if the pencil is smaller than the search space's
     capacity n_modes + j_max + 1, which it could never fill.
     """
@@ -230,10 +232,7 @@ def generalized_davidson(A, B, M=None, cfg=None, initial_space=None):
     if M is None:
         M = lambda v: v
 
-    start = ()
-    if initial_space is not None:
-        S = np.atleast_2d(np.asarray(initial_space, dtype=float))
-        start = S.T if S.shape[0] == n else S
+    start = () if initial_space is None else initial_space.T
     space = _Subspace(A, B, cap)
     space.set_active(_b_basis(itertools.chain(start, gaussian), B, limit=cfg.j_min))
 

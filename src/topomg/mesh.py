@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-DEFAULT_NU = 0.3
+# Poisson ratio of the material; every element matrix has unit Young modulus
+POISSON_RATIO = 0.3
 
 # Local node order as corner offsets: counterclockwise, bottom face first.
 _CORNERS = {
@@ -119,10 +120,6 @@ class StructuredMesh:
         return (_read_only(indptr), _read_only(indices),
                 _read_only(slots.astype(np.int32).reshape(pairs.shape)))
 
-    def element_centroids(self):
-        """(element_count, ndim) centroid positions."""
-        return (_lattice(self.dims) + 0.5) * np.array(self.element_size)
-
 
 @dataclass
 class BoundaryConditions:
@@ -177,16 +174,18 @@ def _shape_gradients(ndim, xi):
     return dN / 2 ** ndim
 
 
-def _constitutive(ndim, E, nu):
+def _constitutive(ndim):
+    """Voigt elasticity matrix of unit Young modulus and POISSON_RATIO."""
+    nu = POISSON_RATIO
     if ndim == 2:  # plane stress, unit thickness
-        c = E / (1.0 - nu ** 2)
+        c = 1.0 / (1.0 - nu ** 2)
         return c * np.array([
             [1.0, nu, 0.0],
             [nu, 1.0, 0.0],
             [0.0, 0.0, (1.0 - nu) / 2.0],
         ])
-    lam = E * nu / ((1 + nu) * (1 - 2 * nu))
-    mu = E / (2 * (1 + nu))
+    lam = nu / ((1 + nu) * (1 - 2 * nu))
+    mu = 1.0 / (2 * (1 + nu))
     D = np.zeros((6, 6))
     D[:3, :3] = lam
     D[np.arange(3), np.arange(3)] += 2 * mu
@@ -224,17 +223,14 @@ def _read_only(a):
 
 
 @functools.cache
-def element_stiffness(mesh, E=1.0, nu=DEFAULT_NU):
-    """Element stiffness matrix (8x8 for Q4, 24x24 for Hex8) by Gauss quadrature.
+def element_stiffness(mesh):
+    """Unit-modulus element stiffness matrix (8x8 for Q4, 24x24 for Hex8) by
+    Gauss quadrature.
 
-    Cached per (mesh, E, nu); the returned array is read-only.
+    Cached per mesh; the returned array is read-only.
     """
-    if not (0 <= nu < 0.5):
-        raise ValueError("nu must be in [0, 0.5)")
-    if E <= 0:
-        raise ValueError("E must be positive")
     ndim = mesh.ndim
-    D = _constitutive(ndim, E, nu)
+    D = _constitutive(ndim)
     nd = 2 ** ndim * ndim
     ke = np.zeros((nd, nd))
     for w, grad in _quadrature(mesh):
@@ -244,17 +240,17 @@ def element_stiffness(mesh, E=1.0, nu=DEFAULT_NU):
 
 
 @functools.cache
-def geometric_stiffness_tensor(mesh, nu=DEFAULT_NU):
+def geometric_stiffness_tensor(mesh):
     """Third-order tensor G with G[k] the element stress stiffness for u_e = e_k.
 
     The element stress stiffness for a unit stress modulus is linear in the
     element displacements, so any state is recovered as einsum('k,kij->ij', u_e, G).
     The sign is chosen so that a compressive prestress produces positive
     eigenvalues of the buckling pencil (largest eigenvalue = 1/P_critical).
-    Cached per (mesh, nu); the returned array is read-only.
+    Cached per mesh; the returned array is read-only.
     """
     ndim = mesh.ndim
-    D = _constitutive(ndim, 1.0, nu)
+    D = _constitutive(ndim)
     nd = 2 ** ndim * ndim
     G = np.zeros((nd, nd, nd))
     eye = np.eye(nd)
@@ -326,7 +322,7 @@ def assemble_stiffness(mesh, bc, element_moduli):
         raise ValueError("element_moduli must have one entry per element")
     if np.any(element_moduli <= 0):
         raise ValueError("element moduli must be positive")
-    return _scatter(mesh, element_moduli, element_stiffness(mesh, 1.0), bc,
+    return _scatter(mesh, element_moduli, element_stiffness(mesh), bc,
                     unit_diagonal=True)
 
 

@@ -60,8 +60,8 @@ class SmootherConfig:
 
 
 # Every smoother is a correction operator r -> dx: called on a residual
-# r = b - A x, it returns the update dx of x. `MgHierarchy.vcycle` forms the
-# residuals.
+# r = b - A x, it returns the update dx of x. `MgHierarchy.apply`'s V-cycle
+# forms the residuals.
 
 class WeightedJacobiSmoother:
     def __init__(self, A, config):
@@ -194,7 +194,11 @@ Aggregates = namedtuple("Aggregates", "levels flags")
 
 @dataclass
 class MgHierarchy:
-    """Fine-to-coarse levels, the build's flags and, for pure SA, the aggregates."""
+    """Fine-to-coarse levels, the build's flags and, for pure SA, the aggregates.
+
+    `apply` is a hierarchy's one entry point. Without levels (strategy
+    'none') the hierarchy is the identity.
+    """
 
     levels: list
     flags: list = field(default_factory=list)
@@ -208,21 +212,21 @@ class MgHierarchy:
     def n_geometric(self):
         return sum(1 for lv in self.levels[:-1] if lv.provenance == "geometric")
 
-    def vcycle(self, b, k=0):
-        """One V-cycle on level k with a zero initial guess: a smoothing
-        correction of b, a coarse correction of the residual it leaves, and a
-        smoothing correction of the residual left after that."""
-        if not (0 <= k < self.n_levels):
-            raise IndexError("level index out of range")
+    def apply(self, b):
+        """One V-cycle with a zero initial guess, the preconditioner M b; a
+        hierarchy without levels (strategy 'none') returns b itself."""
+        return self._vcycle(b, 0) if self.levels else b
+
+    def _vcycle(self, b, k):
+        """The V-cycle on level k: a smoothing correction of b, a coarse
+        correction of the residual it leaves, and a smoothing correction of
+        the residual left after that."""
         lvl = self.levels[k]
         x = lvl.smoother(b)
         if lvl.P is not None:  # on the coarsest level the correction is exact
-            x += lvl.P @ self.vcycle(lvl.P.T @ (b - lvl.A @ x), k + 1)
+            x += lvl.P @ self._vcycle(lvl.P.T @ (b - lvl.A @ x), k + 1)
             x += lvl.smoother(b - lvl.A @ x)
         return x
-
-    def apply(self, b):
-        return self.vcycle(b, 0)
 
     def summary(self):
         """Per-level {size, nonzeros, provenance}, JSON-serializable."""

@@ -17,7 +17,8 @@ from .eigensolver import DavidsonConfig, generalized_davidson
 from .material import PenaltySchedule, SimpLaw, StressSimpLaw
 from .mesh import (assemble_stiffness, assemble_stress_stiffness, element_stiffness,
                    geometric_stiffness_tensor, rigid_body_modes)
-from .multigrid import Aggregates, SmootherConfig, build_hybrid, gmg_level_dims
+from .multigrid import (Aggregates, MgHierarchy, SmootherConfig, build_hybrid,
+                        gmg_level_dims)
 
 # exponent of the p-norm aggregate of the buckling eigenvalues
 P_NORM = 8
@@ -117,10 +118,11 @@ class SolverHarness:
 
     def build(self, K):
         """The strategy's point on the n_geo axis of `build_hybrid`, built;
-        returns (hierarchy, or None for 'none', seconds)."""
+        returns (hierarchy, seconds). 'none' has no preconditioner: its
+        hierarchy has no levels and applies the identity."""
         t0 = time.perf_counter()
         if self.strategy == "none":
-            return None, time.perf_counter() - t0
+            return MgHierarchy([]), time.perf_counter() - t0
         n_geo = {"amg": 0, "gmg": None}.get(self.strategy, self.n_geo)
         B = (rigid_body_modes(self.mesh, self.fixed_dofs)
              if n_geo == 0 and self.aggregates is None else None)
@@ -132,14 +134,12 @@ class SolverHarness:
         """Solve K x = f; returns (x, SolveRecord, hierarchy). Without
         `hierarchy`, one is built for K."""
         setup = 0.0
-        if hierarchy is None and self.strategy != "none":
+        if hierarchy is None:
             hierarchy, setup = self.build(K)
-        M = hierarchy.apply if hierarchy is not None else None
         # a nonstationary smoother makes the V-cycle change between
         # applications, which only flexible GMRES allows
-        flexible = hierarchy is not None and not self.smoother.stationary
-        solve = krylov.fgmres_solve if flexible else krylov.gmres_solve
-        x, rec = solve(K, f, x0, M, self.solve_cfg)
+        solve = krylov.gmres_solve if self.smoother.stationary else krylov.fgmres_solve
+        x, rec = solve(K, f, x0, hierarchy.apply, self.solve_cfg)
         rec.setup_time = setup
         return x, rec, hierarchy
 
@@ -151,7 +151,7 @@ class SolverHarness:
 def element_strain_energies(mesh, u):
     """Per-element u_e^T k_hat u_e with k_hat the unit-modulus element matrix."""
     ue = u[mesh.element_dofs()]
-    return np.einsum("ei,ij,ej->e", ue, element_stiffness(mesh, 1.0), ue)
+    return np.einsum("ei,ij,ej->e", ue, element_stiffness(mesh), ue)
 
 
 def compliance_and_sensitivity(mesh, bc, filt, law, alpha, harness, u0=None):
@@ -195,7 +195,7 @@ def adjoint_rhs(mesh, phi, element_sigma_moduli, fixed_dofs=None):
 
 def eigenvalue_sensitivity(mesh, law, stress_law, rho, u, lam, phi, v):
     """d(lambda)/d(rho) for one K-normalized buckling mode, adjoint term included."""
-    ke = element_stiffness(mesh, 1.0)
+    ke = element_stiffness(mesh)
     edof = mesh.element_dofs()
     ue = u[edof]
     phie = phi[edof]
@@ -232,8 +232,7 @@ def stability_objective_and_sensitivity(mesh, bc, filt, law, stress_law, alpha,
     _check_converged("displacement solve", rec)
     Ks = assemble_stress_stiffness(mesh, bc, u, Es)
     t_eig = time.perf_counter()
-    eig = generalized_davidson(Ks, K, hierarchy.apply if hierarchy else None,
-                               eig_cfg, initial_space)
+    eig = generalized_davidson(Ks, K, hierarchy.apply, eig_cfg, initial_space)
     t_eig = time.perf_counter() - t_eig
     _check_converged("eigensolve", eig, eig_cfg.n_modes)
     n_used = eig.eigenvalues.size
@@ -436,14 +435,13 @@ def run_optimization(problem, callback=None):
         n_geo = harness.n_geo
         if harness.strategy == "hybrid_adaptive":
             n_geo = adapted_depth(n_geo, max(rec.iterations, aux.get("adjoint_slowest", 0)))
-        harness = replace(harness, n_geo=n_geo,
-                          aggregates=hier.aggregates if hier is not None else None)
+        harness = replace(harness, n_geo=n_geo, aggregates=hier.aggregates)
         row = {
             "step": step,
             "penalty": penalty,
             "strategy": harness.strategy,
-            "levels": hier.n_levels if hier is not None else 0,
-            "n_geo": hier.n_geometric if hier is not None else 0,
+            "levels": hier.n_levels,
+            "n_geo": hier.n_geometric,
             "setup_s": rec.setup_time,
             "solve_s": rec.solve_time,
             "solve_iters": rec.iterations,
@@ -453,7 +451,7 @@ def run_optimization(problem, callback=None):
             "adjoint_iters": aux.get("adjoint_iterations", ""),
             "objective": F,
             "volume": vol,
-            "flags": ";".join(hier.flags) if hier is not None else "",
+            "flags": ";".join(hier.flags),
         }
         history.append(row)
         if callback is not None:

@@ -281,6 +281,31 @@ def test_compare_report_schema_mismatch(tmp_path):
                     "setup_s": 0.1, "solve_s": 0.1}])
     with pytest.raises(ValueError):
         compare_report([str(p1), str(p2)])
+    # CSVs the report cannot read: without the key, iteration or time
+    # columns, empty, or with a short row (a KeyError and TypeErrors before),
+    # or repeating a key (a repeated step was compared with itself)
+    step = {"step": 1, "strategy": "amg", "solve_iters": 10, "setup_s": 0.1,
+            "solve_s": 0.1}
+    write_csv(p2, [step])
+    for rows, match in (
+            ([{"strategy": "amg", "solve_iters": 10, "setup_s": 0.1}],
+             "a.csv lacks the column.*step, solve_s"),
+            ([{k: v for k, v in step.items() if k != "solve_iters"}],
+             "a.csv lacks the column.*solve_iters"),
+            ("", "a.csv lacks the column.*step, strategy, solve_iters"),
+            ("step,strategy,solve_iters,setup_s,solve_s\n0,amg,10,0.1,0.1\n1,amg,10\n",
+             "a.csv line 3 has fewer values than columns"),
+            ([dict(step, step=0), dict(step, step=0, solve_iters=30)],
+             "a.csv repeats the row step=0")):
+        if isinstance(rows, str):
+            p1.write_text(rows)
+        else:
+            write_csv(p1, rows)
+        with pytest.raises(ValueError, match=match):
+            compare_report([str(p1), str(p2)])
+    out = cli("report", str(p1), str(p2))
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and "repeats the row" in out.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +384,12 @@ def test_cli_misspelled_key_exit_1(tmp_path, raw):
     # a second leg without stop2 was dropped without a word
     {**SMALL_RUN, "schedule": {"stop": 1.5, "increment": 0.5, "steps_per_value": 1,
                                "increment2": 0.25, "steps2": 3}},
+    # integers written as floats passed JSON Schema's "integer" and failed later
+    {**SMALL_RUN, "schedule": {"stop": 1.0, "steps_per_value": 2.0}},
+    {**SMALL_RUN, "resolution": [12.0, 6.0]},
+    {"problem": "grid_diagnostic", "grid": {"domain": 24, "feature_width": 4,
+                                            "pitches": [8.0]}},
+    {**SMALL_RUN, "solver": {"max_iterations": 50.0}},
 ])
 def test_cli_config_error_exit_1_before_any_output(tmp_path, raw):
     bad = tmp_path / "bad.json"

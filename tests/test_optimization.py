@@ -269,7 +269,7 @@ def test_mode_contractions_match_einsum_reference():
     law, stress_law = SimpLaw(penalty=3.0), StressSimpLaw(penalty=3.0)
     lam = 0.7
     G = geometric_stiffness_tensor(mesh)
-    ke = element_stiffness(mesh, 1.0)
+    ke = element_stiffness(mesh)
     edof = mesh.element_dofs()
     phie, ue, ve = phi[edof], u[edof], v[edof]
 
@@ -581,10 +581,11 @@ def test_run_optimization_stability_mode_smoke():
 
 
 class DirectHarness(SolverHarness):
-    """Solves with spsolve and builds no hierarchy."""
+    """Solves with spsolve; its hierarchy has no levels."""
 
     def solve(self, K, f, x0=None, hierarchy=None):
-        return spla.spsolve(K.tocsc(), f), SolveRecord(converged=True), None
+        return (spla.spsolve(K.tocsc(), f), SolveRecord(converged=True),
+                multigrid.MgHierarchy([]))
 
 
 def test_optimization_problem_rejects_unknown_mode():
