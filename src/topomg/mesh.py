@@ -102,23 +102,45 @@ class StructuredMesh:
         return _read_only(edof)
 
     @functools.cache
-    def block_pattern(self):
-        """Node-block sparsity of the assembled operators, read-only int32 and
-        computed once per mesh.
+    def stencil_pattern(self, components=None):
+        """Node-stencil sparsity of the assembled operators, read-only and
+        computed once per mesh and `components`.
 
-        Returns (indptr, indices, slots): the CSR pattern of the node graph
-        (nodes i and j couple when they share an element, i == j included)
-        and slots[e, a, b], the position in `indices` of the block that
-        couples local nodes a and b of element e.
+        Returns (offsets, indptr, layers). offsets are the node-index offsets
+        of the 3**ndim neighbor stencil, ascending. indptr is the int32 row
+        pointer of the dof-level CSR pattern, whose rows of node i hold the
+        nodes i + offsets[o] that share an element with i, each with the
+        block components that `components` marks: a tuple of
+        dofs_per_node**2 bools, row-major, or None for all. A layer is the
+        nodes of one index along the last axis. For the first layer, a layer
+        in between and the last, layers holds a pair (gather, columns): the
+        positions of the layer's entries, in CSR order, in the
+        (dofs_per_node, offsets.size, dofs_per_node, layer nodes) array of
+        its node blocks, as intp so that `np.take` uses them without a
+        conversion, and their int32 column indices less the dof index of the
+        layer's first node.
         """
-        conn = self.element_nodes()
-        n = self.node_count
-        pairs = conn[:, :, None] * n + conn[:, None, :]
-        keys, slots = np.unique(pairs.ravel(), return_inverse=True)
-        indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
-        indices = (keys % n).astype(np.int32)
-        return (_read_only(indptr), _read_only(indices),
-                _read_only(slots.astype(np.int32).reshape(pairs.shape)))
+        dpn = self.dofs_per_node
+        kept = (np.ones((dpn, dpn), dtype=bool) if components is None
+                else np.reshape(components, (dpn, dpn)))
+        # neighbor steps, lexicographic with the last axis slowest
+        steps = np.array(list(itertools.product((-1, 0, 1), repeat=self.ndim)))[:, ::-1]
+        offsets = self.node_index(*steps.T)
+        plane = _lattice([d + 1 for d in self.dims[:-1]])
+        n = plane.shape[0]
+        j, c, o, d = np.indices((n, dpn, offsets.size, dpn)).reshape(4, -1)
+        layers, row_nnz = [], []
+        for z in (0, 1, self.dims[-1]):
+            reach = np.column_stack((plane, np.full(n, z)))[:, None] + steps
+            valid = np.all((reach >= 0) & (reach <= np.array(self.dims)), axis=2)
+            keep = valid[j, o] & kept[c, d]
+            gather = (((c * offsets.size + o) * dpn + d) * n + j)[keep]
+            columns = (dpn * (j + offsets[o]) + d)[keep]
+            layers.append((_read_only(gather), _read_only(columns.astype(np.int32))))
+            row_nnz.append(np.outer(valid.sum(axis=1), kept.sum(axis=1)).ravel())
+        row_nnz = [row_nnz[0]] + [row_nnz[1]] * (self.dims[-1] - 1) + [row_nnz[2]]
+        indptr = np.concatenate(([0], np.cumsum(np.concatenate(row_nnz))))
+        return _read_only(offsets), _read_only(indptr.astype(np.int32)), tuple(layers)
 
 
 @dataclass
@@ -270,43 +292,90 @@ def _scatter(mesh, moduli, ke, bc, unit_diagonal=False):
     """Assemble moduli[e] * ke[e] into a global CSR matrix, where ke is one
     element matrix shared by all elements or one per element.
 
-    Each of the dofs_per_node**2 components of the node blocks is summed
-    into the mesh's cached `block_pattern` by one bincount over its slots, so
-    a call builds no dof index arrays and, for a shared ke, no per-element
-    matrix stack. The blocks are filled in BSR layout, so the one full-size
-    copy is the conversion to CSR. With bc, the rows and columns of its fixed
-    dofs are zeroed in the blocks of the nodes that have one, their diagonal
-    is set to 1 if unit_diagonal, and every stored zero is dropped. The
-    returned matrix has sorted indices and arrays no other matrix shares;
-    with bc, they may extend past its nnz by the dropped entries.
+    The node blocks are accumulated a chunk of whole node layers (see
+    `StructuredMesh.stencil_pattern`) at a time: for each element corner a,
+    in ascending element order, every node of the chunk adds
+    moduli[e] * ke[e][a, :, b, :] to its block at the stencil offset from
+    corner a to corner b. That sums the same products in the same order as
+    one bincount per block component would. Each layer's entries are then
+    gathered straight into the matrix's data, so a call keeps no array beside
+    the matrix but one chunk. With bc, the rows and columns of its fixed dofs
+    are zeroed, their diagonal is set to 1 if unit_diagonal, and every
+    stored zero is dropped. The returned matrix has sorted indices and
+    arrays no other matrix shares; with bc, they may extend past its nnz by
+    the dropped entries.
     """
-    indptr, indices, slots = mesh.block_pattern()
     dpn = mesh.dofs_per_node
-    k = slots.shape[1]
-    ke = ke.reshape(ke.shape[:-2] + (k, dpn, k, dpn))
-    blocks = np.empty((indices.size, dpn, dpn))
-    for c in range(dpn):
-        for d in range(dpn):
-            blocks[:, c, d] = np.bincount(
-                slots.ravel(), (moduli[:, None, None] * ke[..., c, :, d]).ravel(),
-                indices.size)
+    corners = _CORNERS[mesh.ndim][:, ::-1]  # grid-axis order, last axis first
+    k = corners.shape[0]
+    # the stencil position of the block that couples corners a and b
+    stencil = (corners[None, :] - corners[:, None] + 1) @ 3 ** np.arange(mesh.ndim)[::-1]
+    # a node is corner a of the element whose origin lies a's node offset
+    # below it, so descending offsets take its elements in ascending order
+    order = np.argsort(-mesh.node_index(*_CORNERS[mesh.ndim].T))
+    grid = mesh.dims[::-1]
+    plane = tuple(g + 1 for g in grid[1:])
+    layer = int(np.prod(plane))
+    moduli = moduli.reshape((grid[0], 1, 1) + grid[1:])
+    components = None
     if bc is not None:
-        fixed = ~bc.free_mask.reshape(-1, dpn)  # per node and component
-        has_fixed = fixed.any(axis=1)
-        # the blocks in the row or the column of a node with a fixed dof
-        s = np.flatnonzero(np.repeat(has_fixed, np.diff(indptr)) | has_fixed[indices])
-        rows = np.searchsorted(indptr, s, side="right") - 1
-        cols = indices[s]
-        sub = blocks[s]
-        sub[fixed[rows][:, :, None] | fixed[cols][:, None, :]] = 0.0
-        if unit_diagonal:
-            diagonals = np.einsum("bii->bi", sub)  # a writable view
-            diagonals[(rows == cols)[:, None] & fixed[rows]] = 1.0
-        blocks[s] = sub
+        # a block component that is zero in every element matrix (K_sigma's
+        # off-diagonal ones) would be dropped, so it is left out of the pattern
+        nonzero = np.any(ke.reshape(-1, (k * dpn) ** 2), axis=0)  # no mask of ke's size
+        nonzero = nonzero.reshape(k, dpn, k, dpn).any(axis=(0, 2))
+        nonzero |= unit_diagonal & np.eye(dpn, dtype=bool)
+        if not nonzero.all():
+            components = tuple(nonzero.ravel().tolist())
+    offsets, indptr, layers = mesh.stencil_pattern(components)
+    n_off = offsets.size
+    # ke[a, b, e]: the block of corners a and b of element e, with its
+    # components ahead of the element axes after the first
+    ke = np.broadcast_to(ke, (mesh.element_count,) + ke.shape[-2:])
+    axes = len(grid)
+    ke = ke.reshape(grid + (k, dpn, k, dpn)).transpose(
+        (axes, axes + 2, 0, axes + 1, axes + 3) + tuple(range(1, axes)))
+    chunk = -(-(grid[0] + 1) // 8)  # layers per chunk, for at most eight chunks
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    chunk_blocks = np.empty((chunk, dpn, n_off, dpn) + plane)
+    for l0 in range(0, grid[0] + 1, chunk):
+        l1 = min(l0 + chunk, grid[0] + 1)
+        blocks = chunk_blocks[:l1 - l0]
+        blocks.fill(0.0)
+        for a in order:
+            e0, e1 = max(l0 - corners[a, 0], 0), min(l1 - corners[a, 0], grid[0])
+            if e0 >= e1:
+                continue
+            target = blocks[(slice(e0 + corners[a, 0] - l0, e1 + corners[a, 0] - l0),
+                             slice(None), slice(None), slice(None))
+                            + tuple(slice(c, c + n) for c, n in zip(corners[a, 1:], grid[1:]))]
+            m = moduli[e0:e1]
+            for b in range(k):
+                target[:, :, stencil[a, b]] += m * ke[a, b, e0:e1]
+        for z in range(l0, l1):
+            gather, columns = layers[0 if z == 0 else 2 if z == grid[0] else 1]
+            p = indptr[dpn * layer * z]
+            # the positions are all in range, so clipping, which is faster
+            # than the default bounds check, changes none of them
+            np.take(blocks[z - l0].reshape(-1), gather, out=data[p:p + gather.size],
+                    mode="clip")
+            np.add(columns, dpn * layer * z, out=indices[p:p + gather.size])
     n = mesh.total_dofs
-    K = sp.bsr_matrix((blocks, indices, indptr), shape=(n, n)).tocsr()
-    del blocks
+    K = sp.csr_matrix((data, indices, indptr.copy()), shape=(n, n))
+    K.has_sorted_indices = True
     if bc is not None:
+        fixed = ~bc.free_mask
+        # the rows of the nodes within one stencil step of a fixed dof
+        near = np.flatnonzero(fixed.reshape(-1, dpn).any(axis=1))
+        near = np.unique(np.clip(near[:, None] + offsets, 0, mesh.node_count - 1))
+        rows = (near[:, None] * dpn + np.arange(dpn)).ravel()
+        starts, lengths = indptr[rows], indptr[rows + 1] - indptr[rows]
+        s = (np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+             + np.arange(lengths.sum()))
+        rows = np.repeat(rows, lengths)
+        data[s[fixed[rows] | fixed[indices[s]]]] = 0.0
+        if unit_diagonal:
+            data[s[fixed[rows] & (indices[s] == rows)]] = 1.0
         K.eliminate_zeros()
     return K
 
@@ -336,6 +405,79 @@ def assemble_stress_stiffness(mesh, bc, u, element_sigma_moduli):
     ue = u[mesh.element_dofs()]
     ke = np.einsum("ek,kij->eij", ue, geometric_stiffness_tensor(mesh))
     return _scatter(mesh, moduli, ke, bc)
+
+
+@functools.cache
+def _coarsening_table(mesh):
+    """The Galerkin-coarsened element matrices Q_s^T ke Q_s of the mesh
+    coarsened once, one row per child s of a coarse element, read-only and
+    computed once per mesh.
+
+    An axis with more than one element halves (factor 2), an axis of one
+    element stays (factor 1). Children are numbered with the last axis
+    slowest; Q_s interpolates a coarse element's corner dofs multilinearly to
+    the corner dofs of its child s. Returns (factors, table) with table of
+    shape (children, nd * nd).
+    """
+    factors = tuple(2 if d > 1 else 1 for d in mesh.dims)
+    corners = _CORNERS[mesh.ndim]
+    ke = element_stiffness(mesh)
+    table = []
+    for child in itertools.product(*[range(f) for f in factors[::-1]]):
+        W = np.ones((len(corners), len(corners)))  # W[a, A]: coarse corner A at fine corner a
+        for ax, (f, s) in enumerate(zip(factors, child[::-1])):
+            fine, coarse = corners[:, ax, None], corners[None, :, ax]
+            if f == 2:  # position (s + fine) / 2 on the coarse element's edge
+                W *= np.where(coarse == 1, (s + fine) / 2, 1 - (s + fine) / 2)
+            else:
+                W *= fine == coarse
+        Q = np.kron(W, np.eye(mesh.dofs_per_node))
+        kc = Q.T @ ke @ Q
+        table.append((0.5 * (kc + kc.T)).ravel())
+    return factors, _read_only(np.array(table))
+
+
+def coarsened_stiffness(mesh, element_moduli):
+    """P^T K P of the unconstrained stiffness K of the element moduli and the
+    multilinear prolongation P from the mesh coarsened once (the geometric
+    prolongation of the multigrid levels), assembled on the coarse mesh.
+
+    On nested structured grids the product is an assembly of Galerkin-
+    coarsened element matrices: coarse element E gets
+    sum_s moduli[child s of E] * Q_s^T ke Q_s, one matrix product of the
+    children's moduli with the mesh's table of the Q_s^T ke Q_s. A child
+    past the end of an odd axis has modulus 0. Equal to the sparse triple
+    product to rounding.
+    """
+    factors, table = _coarsening_table(mesh)
+    cdims = tuple(-(-d // f) for d, f in zip(mesh.dims, factors))
+    coarse = StructuredMesh(cdims, tuple(h * f for h, f in zip(mesh.element_size, factors)))
+    padded = np.zeros(tuple(c * f for c, f in zip(cdims, factors))[::-1])
+    padded[tuple(slice(d) for d in mesh.dims[::-1])] = element_moduli.reshape(mesh.dims[::-1])
+    g = mesh.ndim
+    children = padded.reshape(tuple(x for c, f in zip(cdims[::-1], factors[::-1])
+                                    for x in (c, f))).transpose(
+        tuple(range(0, 2 * g, 2)) + tuple(range(1, 2 * g, 2)))
+    # element axis last in memory, as `_scatter` reads it
+    ke = (table.T @ children.reshape(coarse.element_count, -1).T).T
+    nd = int(np.sqrt(table.shape[1]))
+    return _scatter(coarse, np.ones(coarse.element_count), ke.reshape(-1, nd, nd), None)
+
+
+def stiffness_rows(mesh, element_moduli, dofs):
+    """The rows `dofs` of the unconstrained stiffness of the element moduli,
+    as a CSR matrix, summed from the elements that hold them only."""
+    dofs = np.asarray(dofs)
+    row = np.full(mesh.total_dofs, -1)
+    row[dofs] = np.arange(dofs.size)
+    edof = mesh.element_dofs()
+    elements = np.flatnonzero((row[edof] >= 0).any(axis=1))
+    edof = edof[elements]
+    values = element_moduli[elements, None, None] * element_stiffness(mesh)
+    rows, cols = np.broadcast_arrays(row[edof][:, :, None], edof[:, None, :])
+    keep = rows >= 0
+    return sp.csr_matrix((values[keep], (rows[keep], cols[keep])),
+                         shape=(dofs.size, mesh.total_dofs))
 
 
 def build_filter(mesh, radius=1.5):

@@ -6,10 +6,13 @@ aggregation (strength graph, greedy node aggregation, smoothed tentative
 prolongation from rigid-body-mode candidates). Its two ends are pure SA-AMG
 (n_geo=0, `build_sa_amg`) and pure GMG (n_geo=None, `build_gmg`).
 
-All coarse operators come from the Galerkin triple product P^T A P and the
-coarsest operator is factorized once at build time.
+Every coarse operator is the Galerkin product P^T A P: a sparse triple
+product, or for the first geometric level of a build given the element
+moduli, an assembly of Galerkin-coarsened element matrices. The coarsest
+operator is factorized once at build time.
 """
 
+import functools
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -18,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import krylov
-from .mesh import StructuredMesh, rigid_body_modes
+from .mesh import StructuredMesh, coarsened_stiffness, rigid_body_modes, stiffness_rows
 
 # strength threshold and level cap of smoothed aggregation (Vanek, Mandel &
 # Brezina 1996), and the power-method steps of every spectral-radius estimate
@@ -260,6 +263,32 @@ def _galerkin(A, P):
     return Ac
 
 
+def _element_galerkin(mesh, K, P, moduli):
+    """P^T K P for the first geometric level, built from the element moduli
+    that K was assembled from: the Galerkin-coarsened element matrices
+    assembled on the coarse mesh (`coarsened_stiffness`), plus a Dirichlet
+    correction.
+
+    K's single-entry diagonal rows F hold its fixed dofs, whose rows and
+    columns the assembly zeroed before setting a unit diagonal, and any free
+    dof whose every coupled dof is fixed, which keeps its own diagonal. With
+    D_F those diagonal entries, P_F = P[F] and R_F the rows F of the
+    unconstrained stiffness, the correction is
+    P_F^T D_F P_F - P_F^T (R_F P) - (R_F P)^T P_F + P_F^T R_FF P_F, so the
+    sum equals `_galerkin(K, P)` to rounding.
+    """
+    A = coarsened_stiffness(mesh, moduli)
+    F = np.flatnonzero(np.diff(K.indptr) == 1)
+    F = F[K.indices[K.indptr[F]] == F]
+    if F.size:
+        R = stiffness_rows(mesh, moduli, F)
+        PF = P[F]
+        RP = R @ P
+        DF = sp.diags(K.data[K.indptr[F]]) @ PF
+        A = A + (PF.T @ (DF - RP + R[:, F] @ PF) - RP.T @ PF)
+    return A
+
+
 # ---------------------------------------------------------------------------
 # geometric construction
 # ---------------------------------------------------------------------------
@@ -292,8 +321,10 @@ def _prolongation_1d(n_fine):
     return sp.coo_matrix((vals, (rows, cols)), shape=(n_fine + 1, m + 1)).tocsr()
 
 
+@functools.cache
 def geometric_prolongation(fine_dims, dofs_per_node):
-    """Shape-function prolongation between nested structured grids.
+    """Shape-function prolongation between nested structured grids, computed
+    once per grid; its arrays are read-only.
 
     Lexicographic node numbering (x fastest) makes the nodal operator a
     Kronecker product of 1D hat interpolations.
@@ -303,7 +334,10 @@ def geometric_prolongation(fine_dims, dofs_per_node):
     Pn = p1d[0]
     for p in p1d[1:]:
         Pn = sp.kron(p, Pn, format="csr")
-    return sp.kron(Pn, sp.identity(dofs_per_node), format="csr")
+    P = sp.kron(Pn, sp.identity(dofs_per_node), format="csr")
+    for a in (P.data, P.indices, P.indptr):
+        a.flags.writeable = False
+    return P
 
 
 def build_gmg(mesh, K, coarse_max_dofs, smoother=None):
@@ -484,7 +518,7 @@ def build_sa_amg(K, near_nullspace, coarse_max_dofs, smoother=None, seed=0):
 # ---------------------------------------------------------------------------
 
 def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
-                 seed=0, like=None):
+                 seed=0, like=None, moduli=None):
     """Geometric transfers on the finest n_geo levels, smoothed aggregation below.
 
     n_geo=0 is pure SA-AMG, the only case that reads `near_nullspace` (and
@@ -498,7 +532,16 @@ def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
     depends on K is redone (prolongation smoothing, Galerkin products,
     smoothers, coarse LU). Strength and aggregation do not run,
     `near_nullspace` is not read and the flags are like's.
+
+    `moduli` are the element moduli that K was assembled from
+    (`assemble_stiffness`). Given them, the first geometric level's coarse
+    operator is built from them (`_element_galerkin`) rather than by the
+    sparse triple product; every other coarse operator is a triple product.
     """
+    if moduli is not None:
+        moduli = np.asarray(moduli, dtype=float)
+        if moduli.shape != (mesh.element_count,):
+            raise ValueError("moduli must have one entry per element of the mesh")
     if n_geo is not None and n_geo < 0:
         raise ValueError("n_geo must be >= 0, or None for pure GMG")
     if like is not None and n_geo != 0:
@@ -507,11 +550,12 @@ def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
     A = sp.csr_matrix(K)
     levels, flags, kept, aggregates = [], [], [], like
 
-    def step(P, provenance, block_size):
-        """Append the level of A with prolongation P, then coarsen A."""
+    def step(P, provenance, block_size, moduli=None):
+        """Append the level of A with prolongation P, then coarsen A, from
+        the element moduli if given."""
         nonlocal A
         levels.append(MgLevel(A, P, provenance, make_smoother(smoother, A, block_size)))
-        A = _galerkin(A, P)
+        A = _galerkin(A, P) if moduli is None else _element_galerkin(mesh, A, P, moduli)
 
     if like is not None:
         flags = list(like.flags)
@@ -528,8 +572,9 @@ def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
         block_size = mesh.dofs_per_node
         plan = gmg_level_dims(mesh.dims, block_size, coarse_max_dofs)
         n_fine = len(plan) - 1 if n_geo is None else min(n_geo, len(plan) - 1)
-        for dims in plan[:n_fine]:
-            step(geometric_prolongation(dims, block_size), "geometric", block_size)
+        for i, dims in enumerate(plan[:n_fine]):
+            step(geometric_prolongation(dims, block_size), "geometric", block_size,
+                 moduli if i == 0 else None)
         if n_geo is None:
             if len(plan) == 1:
                 flags.append("no_coarsening_possible")

@@ -116,10 +116,12 @@ class SolverHarness:
             object.__setattr__(self, "n_geo",
                                max(ADAPTIVE_MIN_GEO, min(self.n_geo, n_levels - 1)))
 
-    def build(self, K):
+    def build(self, K, moduli=None):
         """The strategy's point on the n_geo axis of `build_hybrid`, built;
-        returns (hierarchy, seconds). 'none' has no preconditioner: its
-        hierarchy has no levels and applies the identity."""
+        returns (hierarchy, seconds). `moduli`, the element moduli K was
+        assembled from, let the first geometric level's coarse operator be
+        built from them. 'none' has no preconditioner: its hierarchy has no
+        levels and applies the identity."""
         t0 = time.perf_counter()
         if self.strategy == "none":
             return MgHierarchy([]), time.perf_counter() - t0
@@ -127,15 +129,16 @@ class SolverHarness:
         B = (rigid_body_modes(self.mesh, self.fixed_dofs)
              if n_geo == 0 and self.aggregates is None else None)
         h = build_hybrid(self.mesh, K, B, n_geo, self.coarse_max_dofs, self.smoother,
-                         seed=self.seed, like=self.aggregates)
+                         seed=self.seed, like=self.aggregates, moduli=moduli)
         return h, time.perf_counter() - t0
 
-    def solve(self, K, f, x0=None, hierarchy=None):
+    def solve(self, K, f, x0=None, hierarchy=None, moduli=None):
         """Solve K x = f; returns (x, SolveRecord, hierarchy). Without
-        `hierarchy`, one is built for K."""
+        `hierarchy`, one is built for K, from `moduli` too if given (see
+        `build`)."""
         setup = 0.0
         if hierarchy is None:
-            hierarchy, setup = self.build(K)
+            hierarchy, setup = self.build(K, moduli)
         # a nonstationary smoother makes the V-cycle change between
         # applications, which only flexible GMRES allows
         solve = krylov.gmres_solve if self.smoother.stationary else krylov.fgmres_solve
@@ -151,7 +154,7 @@ class SolverHarness:
 def element_strain_energies(mesh, u):
     """Per-element u_e^T k_hat u_e with k_hat the unit-modulus element matrix."""
     ue = u[mesh.element_dofs()]
-    return np.einsum("ei,ij,ej->e", ue, element_stiffness(mesh), ue)
+    return np.sum((ue @ element_stiffness(mesh)) * ue, axis=1)
 
 
 def compliance_and_sensitivity(mesh, bc, filt, law, alpha, harness, u0=None):
@@ -164,7 +167,7 @@ def compliance_and_sensitivity(mesh, bc, filt, law, alpha, harness, u0=None):
     rho = filt.apply(alpha)
     E = law.modulus(rho)
     K = assemble_stiffness(mesh, bc, E)
-    u, rec, hierarchy = harness.solve(K, bc.load_vector, u0)
+    u, rec, hierarchy = harness.solve(K, bc.load_vector, u0, moduli=E)
     _check_converged("displacement solve", rec)
     F = float(bc.load_vector @ u)
     dF_drho = -law.modulus_derivative(rho) * element_strain_energies(mesh, u)
@@ -228,7 +231,7 @@ def stability_objective_and_sensitivity(mesh, bc, filt, law, stress_law, alpha,
     E = law.modulus(rho)
     Es = stress_law.modulus(rho)
     K = assemble_stiffness(mesh, bc, E)
-    u, rec, hierarchy = harness.solve(K, bc.load_vector, u0)
+    u, rec, hierarchy = harness.solve(K, bc.load_vector, u0, moduli=E)
     _check_converged("displacement solve", rec)
     Ks = assemble_stress_stiffness(mesh, bc, u, Es)
     t_eig = time.perf_counter()

@@ -5,7 +5,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import topomg.krylov as krylov
@@ -14,9 +14,9 @@ from topomg.bench import cantilever2d_problem, cantilever3d_problem, column_prob
 from topomg.material import SimpLaw
 from topomg.mesh import (BoundaryConditions, assemble_stiffness, build_mesh,
                          rigid_body_modes)
-from topomg.multigrid import (DENSE_FRACTION, SmootherConfig, _galerkin,
-                              _merge_small_aggregates, aggregate_nodes, build_gmg,
-                              build_hybrid, build_sa_amg, estimate_spectral_radius,
+from topomg.multigrid import (DENSE_FRACTION, SmootherConfig, _element_galerkin,
+                              _galerkin, _merge_small_aggregates, aggregate_nodes,
+                              build_gmg, build_hybrid, build_sa_amg, estimate_spectral_radius,
                               geometric_prolongation, gmg_level_dims, make_smoother,
                               smoothed_prolongation, strength_of_connection,
                               tentative_prolongation)
@@ -439,6 +439,86 @@ def test_galerkin_is_byte_identical_to_the_triple_product():
     expected = _triple_product(A, P)
     assert Ac.has_canonical_format and np.all(Ac.data != 0)
     assert abs(Ac - expected).max() <= 1e-13 * abs(expected).max()
+
+
+@st.composite
+def coarsening_cases(draw):
+    """A 2D or 3D mesh with odd dims and dims of 1 among its draws, random or
+    uniform moduli, and no bc, every dof of some nodes fixed, or single
+    random dofs fixed."""
+    ndim = draw(st.sampled_from([2, 3]))
+    dims = tuple(draw(st.integers(1, 7 if ndim == 2 else 4)) for _ in range(ndim))
+    mesh = build_mesh(dims)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    moduli = (rng.uniform(1e-3, 1.0, mesh.element_count)
+              if draw(st.booleans()) else np.full(mesh.element_count, 0.4))
+    fixing = draw(st.sampled_from(["none", "nodes", "dofs"]))
+    if fixing == "none":
+        bc = None
+    else:
+        dpn = mesh.dofs_per_node
+        if fixing == "nodes":
+            nodes = rng.choice(mesh.node_count, 1 + mesh.node_count // 4, replace=False)
+            fixed = (nodes[:, None] * dpn + np.arange(dpn)).ravel()
+        else:
+            fixed = rng.choice(mesh.total_dofs, 1 + mesh.total_dofs // 5, replace=False)
+        bc = BoundaryConditions(fixed, np.zeros(mesh.total_dofs))
+    return mesh, moduli, assemble_stiffness(mesh, bc, moduli)
+
+
+def _lone_free_dof_case(dims):
+    """Every dof fixed but one, whose row then holds only its diagonal, as
+    the fixed dofs' rows do, though its value is not 1."""
+    mesh = build_mesh(dims)
+    fixed = np.setdiff1d(np.arange(mesh.total_dofs), [mesh.dofs_per_node * 4])
+    moduli = np.random.default_rng(0).uniform(0.1, 1.0, mesh.element_count)
+    K = assemble_stiffness(mesh, BoundaryConditions(fixed, np.zeros(mesh.total_dofs)), moduli)
+    return mesh, moduli, K
+
+
+@settings(max_examples=80, deadline=None)
+@given(coarsening_cases())
+@example(_lone_free_dof_case((4, 3)))
+@example(_lone_free_dof_case((2, 2, 2)))
+def test_first_coarse_operator_from_moduli_matches_the_triple_product(case):
+    mesh, moduli, K = case
+    P = geometric_prolongation(mesh.dims, mesh.dofs_per_node)
+    expected = _galerkin(K, P)
+    A = _element_galerkin(mesh, K, P, moduli)
+    assert A.shape == expected.shape
+    assert abs(A - expected).max() <= 1e-14 * abs(expected).max()
+
+
+def _moduli_cases():
+    """A small 2D and a small 3D cantilever with random moduli."""
+    rng = np.random.default_rng(5)
+    for mesh, bc in (cantilever2d_problem((32, 16)), cantilever3d_problem((12, 6, 6))):
+        moduli = SimpLaw(penalty=3.0).modulus(rng.uniform(0.0, 1.0, mesh.element_count))
+        yield mesh, bc, moduli, assemble_stiffness(mesh, bc, moduli)
+
+
+@pytest.mark.parametrize("strategy", ["gmg", "hybrid"])
+def test_hierarchies_built_with_moduli_are_galerkin_and_solve_alike(strategy):
+    for mesh, bc, moduli, K in _moduli_cases():
+        harness = SolverHarness(mesh=mesh, strategy=strategy, coarse_max_dofs=100,
+                                n_geo=2, fixed_dofs=bc.fixed_dofs)
+        h, _ = harness.build(K, moduli)
+        assert h.n_geometric >= 1
+        assert galerkin_consistency(h) <= 1e-12
+        _, rec, _ = harness.solve(K, bc.load_vector, moduli=moduli)
+        _, rec_k, _ = harness.solve(K, bc.load_vector)
+        assert rec.converged and rec.iterations == rec_k.iterations
+
+
+def test_moduli_of_the_wrong_length_are_rejected():
+    mesh, bc, moduli, K = next(_moduli_cases())
+    for strategy in ("gmg", "hybrid", "amg"):
+        harness = SolverHarness(mesh=mesh, strategy=strategy, coarse_max_dofs=100,
+                                fixed_dofs=bc.fixed_dofs)
+        with pytest.raises(ValueError, match="moduli"):
+            harness.build(K, moduli[:-1])
+    with pytest.raises(ValueError, match="moduli"):
+        build_hybrid(mesh, K, None, None, 100, moduli=np.append(moduli, 1.0))
 
 
 def _column_k(dims, moduli):

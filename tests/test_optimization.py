@@ -583,7 +583,7 @@ def test_run_optimization_stability_mode_smoke():
 class DirectHarness(SolverHarness):
     """Solves with spsolve; its hierarchy has no levels."""
 
-    def solve(self, K, f, x0=None, hierarchy=None):
+    def solve(self, K, f, x0=None, hierarchy=None, moduli=None):
         return (spla.spsolve(K.tocsc(), f), SolveRecord(converged=True),
                 multigrid.MgHierarchy([]))
 
