@@ -360,7 +360,7 @@ def run_grid_point(cfg, pitch_x, pitch_y, mesh=None, bc=None):
     rho = generate_grid_structure(spec)
     K = assemble_stiffness(mesh, bc, rho)
     harness = _make_harness(cfg, mesh, bc)
-    x, rec, hierarchy = harness.solve(K, bc.load_vector)
+    x, rec, hierarchy = harness.solve(K, bc.load_vector, moduli=rho)
     return {
         "pitch_x": pitch_x, "pitch_y": pitch_y, "strategy": cfg.strategy,
         "iterations": rec.iterations, "setup_s": rec.setup_time,

@@ -59,8 +59,8 @@ class StressSimpLaw:
 @dataclass(frozen=True)
 class PenaltySchedule:
     """Continuation schedule: penalty start -> stop by increment, a fixed number
-    of optimization iterations per value, with an optional second leg (used by
-    the column problem, which continues past the first stop at a larger step)."""
+    of optimization iterations per value, with an optional second leg that
+    continues from stop to stop2 by increment2, steps2 iterations per value."""
 
     start: float = 1.0
     stop: float = 4.0

@@ -30,6 +30,22 @@ def _lattice(counts):
     return np.stack([g.ravel(order="F") for g in grids], axis=1)
 
 
+def _prolongation_1d(n_fine):
+    """Hat-function interpolation from ceil(n/2) coarse to n fine elements."""
+    m = max(1, -(-n_fine // 2))
+    rows, cols, vals = [], [], []
+    for i in range(n_fine + 1):
+        if i % 2 == 0:
+            rows.append(i)
+            cols.append(i // 2)
+            vals.append(1.0)
+        else:
+            rows += [i, i]
+            cols += [(i - 1) // 2, (i + 1) // 2]
+            vals += [0.5, 0.5]
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n_fine + 1, m + 1)).tocsr()
+
+
 @dataclass(frozen=True)
 class StructuredMesh:
     """Uniform structured grid of Q4 or Hex8 elements.
@@ -89,6 +105,34 @@ class StructuredMesh:
         """(element_count, 2**ndim) connectivity in local node ordering."""
         origins = self.node_index(*_lattice(self.dims).T)
         return origins[:, None] + self.node_index(*_CORNERS[self.ndim].T)
+
+    def coarsened(self):
+        """The mesh coarsened once, the next geometric multigrid level: an axis
+        of d > 1 elements becomes ceil(d/2) elements of twice the size, and an
+        axis of one element stays."""
+        return StructuredMesh(tuple(-(-d // 2) for d in self.dims),
+                              tuple(2 * h if d > 1 else h
+                                    for d, h in zip(self.dims, self.element_size)))
+
+    @functools.cache
+    def prolongation(self):
+        """Multilinear interpolation of every dof from the nodes of
+        `coarsened()` to this mesh's nodes, as CSR with read-only arrays,
+        computed once per mesh.
+
+        Lexicographic node numbering (x fastest) makes the nodal operator a
+        Kronecker product of 1D hat interpolations; an axis of one element
+        keeps its nodes.
+        """
+        p1d = [_prolongation_1d(d) if d > 1 else sp.identity(d + 1, format="csr")
+               for d in self.dims]
+        Pn = p1d[0]
+        for p in p1d[1:]:
+            Pn = sp.kron(p, Pn, format="csr")
+        P = sp.kron(Pn, sp.identity(self.dofs_per_node), format="csr")
+        for a in (P.data, P.indices, P.indptr):
+            _read_only(a)
+        return P
 
     @functools.cache
     def element_dofs(self):
@@ -409,49 +453,53 @@ def assemble_stress_stiffness(mesh, bc, u, element_sigma_moduli):
 
 @functools.cache
 def _coarsening_table(mesh):
-    """The Galerkin-coarsened element matrices Q_s^T ke Q_s of the mesh
-    coarsened once, one row per child s of a coarse element, read-only and
-    computed once per mesh.
+    """The Galerkin-coarsened element matrices Q_s^T ke Q_s of the mesh and
+    its `coarsened()` mesh, one row per child s of a coarse element,
+    read-only and computed once per mesh.
 
-    An axis with more than one element halves (factor 2), an axis of one
-    element stays (factor 1). Children are numbered with the last axis
-    slowest; Q_s interpolates a coarse element's corner dofs multilinearly to
-    the corner dofs of its child s. Returns (factors, table) with table of
-    shape (children, nd * nd).
+    Children are numbered with the last axis slowest; Q_s is the block of
+    `prolongation()` that interpolates a coarse element's corner dofs to the
+    corner dofs of its child s. Returns (factors, table): the children of a
+    coarse element along each axis, and table of shape (children, nd * nd).
     """
-    factors = tuple(2 if d > 1 else 1 for d in mesh.dims)
-    corners = _CORNERS[mesh.ndim]
+    coarse = mesh.coarsened()
+    # a coarse element spans as many children along an axis as its size is
+    # times theirs: 2 where the axis halved, 1 where it stayed
+    factors = tuple(round(c / h) for h, c in zip(mesh.element_size, coarse.element_size))
+    strides = np.cumprod((1,) + mesh.dims[:-1])
+    P, corners = mesh.prolongation(), coarse.element_dofs()[0]
     ke = element_stiffness(mesh)
     table = []
-    for child in itertools.product(*[range(f) for f in factors[::-1]]):
-        W = np.ones((len(corners), len(corners)))  # W[a, A]: coarse corner A at fine corner a
-        for ax, (f, s) in enumerate(zip(factors, child[::-1])):
-            fine, coarse = corners[:, ax, None], corners[None, :, ax]
-            if f == 2:  # position (s + fine) / 2 on the coarse element's edge
-                W *= np.where(coarse == 1, (s + fine) / 2, 1 - (s + fine) / 2)
-            else:
-                W *= fine == coarse
-        Q = np.kron(W, np.eye(mesh.dofs_per_node))
+    for child in _lattice(factors) @ strides:
+        Q = P[mesh.element_dofs()[child]][:, corners].toarray()
         kc = Q.T @ ke @ Q
         table.append((0.5 * (kc + kc.T)).ravel())
     return factors, _read_only(np.array(table))
 
 
-def coarsened_stiffness(mesh, element_moduli):
-    """P^T K P of the unconstrained stiffness K of the element moduli and the
-    multilinear prolongation P from the mesh coarsened once (the geometric
-    prolongation of the multigrid levels), assembled on the coarse mesh.
+def coarsened_stiffness(mesh, K, element_moduli):
+    """P^T K P for P = mesh.prolongation() and the stiffness K that
+    `assemble_stiffness` assembled from the element moduli, with or without
+    a bc, assembled on the `coarsened()` mesh.
 
-    On nested structured grids the product is an assembly of Galerkin-
-    coarsened element matrices: coarse element E gets
-    sum_s moduli[child s of E] * Q_s^T ke Q_s, one matrix product of the
-    children's moduli with the mesh's table of the Q_s^T ke Q_s. A child
-    past the end of an odd axis has modulus 0. Equal to the sparse triple
-    product to rounding.
+    On nested structured grids the product for the unconstrained stiffness
+    is an assembly of Galerkin-coarsened element matrices: coarse element E
+    gets sum_s moduli[child s of E] * Q_s^T ke Q_s, one matrix product of
+    the children's moduli with the mesh's table of the Q_s^T ke Q_s. A child
+    past the end of an odd axis has modulus 0.
+
+    A Dirichlet correction is added. K's single-entry diagonal rows F hold
+    its fixed dofs, whose rows and columns `_scatter` zeroed before setting a
+    unit diagonal, and any free dof whose every coupled dof is fixed, which
+    keeps its own diagonal. With D_F those diagonal entries, P_F = P[F] and
+    R_F the rows F of the unconstrained stiffness, summed from the elements
+    that hold them only, the correction is
+    P_F^T D_F P_F - P_F^T (R_F P) - (R_F P)^T P_F + P_F^T R_FF P_F. The sum
+    equals the sparse triple product to rounding.
     """
     factors, table = _coarsening_table(mesh)
-    cdims = tuple(-(-d // f) for d, f in zip(mesh.dims, factors))
-    coarse = StructuredMesh(cdims, tuple(h * f for h, f in zip(mesh.element_size, factors)))
+    coarse = mesh.coarsened()
+    cdims = coarse.dims
     padded = np.zeros(tuple(c * f for c, f in zip(cdims, factors))[::-1])
     padded[tuple(slice(d) for d in mesh.dims[::-1])] = element_moduli.reshape(mesh.dims[::-1])
     g = mesh.ndim
@@ -461,23 +509,26 @@ def coarsened_stiffness(mesh, element_moduli):
     # element axis last in memory, as `_scatter` reads it
     ke = (table.T @ children.reshape(coarse.element_count, -1).T).T
     nd = int(np.sqrt(table.shape[1]))
-    return _scatter(coarse, np.ones(coarse.element_count), ke.reshape(-1, nd, nd), None)
-
-
-def stiffness_rows(mesh, element_moduli, dofs):
-    """The rows `dofs` of the unconstrained stiffness of the element moduli,
-    as a CSR matrix, summed from the elements that hold them only."""
-    dofs = np.asarray(dofs)
-    row = np.full(mesh.total_dofs, -1)
-    row[dofs] = np.arange(dofs.size)
-    edof = mesh.element_dofs()
-    elements = np.flatnonzero((row[edof] >= 0).any(axis=1))
-    edof = edof[elements]
-    values = element_moduli[elements, None, None] * element_stiffness(mesh)
-    rows, cols = np.broadcast_arrays(row[edof][:, :, None], edof[:, None, :])
-    keep = rows >= 0
-    return sp.csr_matrix((values[keep], (rows[keep], cols[keep])),
-                         shape=(dofs.size, mesh.total_dofs))
+    A = _scatter(coarse, np.ones(coarse.element_count), ke.reshape(-1, nd, nd), None)
+    F = np.flatnonzero(np.diff(K.indptr) == 1)
+    F = F[K.indices[K.indptr[F]] == F]
+    if F.size:
+        row = np.full(mesh.total_dofs, -1)
+        row[F] = np.arange(F.size)
+        edof = mesh.element_dofs()
+        elements = np.flatnonzero((row[edof] >= 0).any(axis=1))
+        edof = edof[elements]
+        values = element_moduli[elements, None, None] * element_stiffness(mesh)
+        rows, cols = np.broadcast_arrays(row[edof][:, :, None], edof[:, None, :])
+        keep = rows >= 0
+        R = sp.csr_matrix((values[keep], (rows[keep], cols[keep])),
+                          shape=(F.size, mesh.total_dofs))
+        P = mesh.prolongation()
+        PF = P[F]
+        RP = R @ P
+        DF = sp.diags(K.data[K.indptr[F]]) @ PF
+        A = A + (PF.T @ (DF - RP + R[:, F] @ PF) - RP.T @ PF)
+    return A
 
 
 def build_filter(mesh, radius=1.5):

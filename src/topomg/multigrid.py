@@ -1,18 +1,21 @@
 """Multigrid hierarchies and V-cycle preconditioning.
 
 One builder, `build_hybrid`, coarsens the finest n_geo levels geometrically
-(structured-grid shape-function transfers) and the rest by smoothed
-aggregation (strength graph, greedy node aggregation, smoothed tentative
-prolongation from rigid-body-mode candidates). Its two ends are pure SA-AMG
-(n_geo=0, `build_sa_amg`) and pure GMG (n_geo=None, `build_gmg`).
+and the rest by smoothed aggregation (strength graph, greedy node
+aggregation, smoothed tentative prolongation from rigid-body-mode
+candidates). Its two ends are pure SA-AMG (n_geo=0, `build_sa_amg`) and pure
+GMG (n_geo=None, `build_gmg`). The geometric levels are meshes
+(`geometric_levels`): the mesh module owns how a structured grid coarsens
+(`StructuredMesh.coarsened`) and its shape-function transfer
+(`StructuredMesh.prolongation`).
 
 Every coarse operator is the Galerkin product P^T A P: a sparse triple
 product, or for the first geometric level of a build given the element
-moduli, an assembly of Galerkin-coarsened element matrices. The coarsest
-operator is factorized once at build time.
+moduli, the mesh module's assembly of Galerkin-coarsened element matrices
+(`coarsened_stiffness`). The coarsest operator is factorized once at build
+time.
 """
 
-import functools
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -21,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import krylov
-from .mesh import StructuredMesh, coarsened_stiffness, rigid_body_modes, stiffness_rows
+from .mesh import coarsened_stiffness, rigid_body_modes
 
 # strength threshold and level cap of smoothed aggregation (Vanek, Mandel &
 # Brezina 1996), and the power-method steps of every spectral-radius estimate
@@ -263,81 +266,17 @@ def _galerkin(A, P):
     return Ac
 
 
-def _element_galerkin(mesh, K, P, moduli):
-    """P^T K P for the first geometric level, built from the element moduli
-    that K was assembled from: the Galerkin-coarsened element matrices
-    assembled on the coarse mesh (`coarsened_stiffness`), plus a Dirichlet
-    correction.
-
-    K's single-entry diagonal rows F hold its fixed dofs, whose rows and
-    columns the assembly zeroed before setting a unit diagonal, and any free
-    dof whose every coupled dof is fixed, which keeps its own diagonal. With
-    D_F those diagonal entries, P_F = P[F] and R_F the rows F of the
-    unconstrained stiffness, the correction is
-    P_F^T D_F P_F - P_F^T (R_F P) - (R_F P)^T P_F + P_F^T R_FF P_F, so the
-    sum equals `_galerkin(K, P)` to rounding.
-    """
-    A = coarsened_stiffness(mesh, moduli)
-    F = np.flatnonzero(np.diff(K.indptr) == 1)
-    F = F[K.indices[K.indptr[F]] == F]
-    if F.size:
-        R = stiffness_rows(mesh, moduli, F)
-        PF = P[F]
-        RP = R @ P
-        DF = sp.diags(K.data[K.indptr[F]]) @ PF
-        A = A + (PF.T @ (DF - RP + R[:, F] @ PF) - RP.T @ PF)
-    return A
-
-
 # ---------------------------------------------------------------------------
 # geometric construction
 # ---------------------------------------------------------------------------
 
-def gmg_level_dims(dims, dofs_per_node, coarse_max_dofs):
-    """Planned element dims per level for a geometric hierarchy (fine first)."""
-    out = [tuple(dims)]
-    while True:
-        cur = out[-1]
-        dofs = dofs_per_node * int(np.prod([d + 1 for d in cur]))
-        if dofs <= coarse_max_dofs or all(d <= 1 for d in cur):
-            break
-        out.append(tuple(max(1, -(-d // 2)) for d in cur))
+def geometric_levels(mesh, coarse_max_dofs):
+    """The meshes of a geometric hierarchy, fine first: `coarsened()` until a
+    mesh has at most coarse_max_dofs dofs or a single element."""
+    out = [mesh]
+    while out[-1].total_dofs > coarse_max_dofs and out[-1].element_count > 1:
+        out.append(out[-1].coarsened())
     return out
-
-
-def _prolongation_1d(n_fine):
-    """Hat-function interpolation from ceil(n/2) coarse to n fine elements."""
-    m = max(1, -(-n_fine // 2))
-    rows, cols, vals = [], [], []
-    for i in range(n_fine + 1):
-        if i % 2 == 0:
-            rows.append(i)
-            cols.append(i // 2)
-            vals.append(1.0)
-        else:
-            rows += [i, i]
-            cols += [(i - 1) // 2, (i + 1) // 2]
-            vals += [0.5, 0.5]
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n_fine + 1, m + 1)).tocsr()
-
-
-@functools.cache
-def geometric_prolongation(fine_dims, dofs_per_node):
-    """Shape-function prolongation between nested structured grids, computed
-    once per grid; its arrays are read-only.
-
-    Lexicographic node numbering (x fastest) makes the nodal operator a
-    Kronecker product of 1D hat interpolations.
-    """
-    p1d = [_prolongation_1d(d) if d > 1 else sp.identity(d + 1, format="csr")
-           for d in fine_dims]
-    Pn = p1d[0]
-    for p in p1d[1:]:
-        Pn = sp.kron(p, Pn, format="csr")
-    P = sp.kron(Pn, sp.identity(dofs_per_node), format="csr")
-    for a in (P.data, P.indices, P.indptr):
-        a.flags.writeable = False
-    return P
 
 
 def build_gmg(mesh, K, coarse_max_dofs, smoother=None):
@@ -521,10 +460,12 @@ def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
                  seed=0, like=None, moduli=None):
     """Geometric transfers on the finest n_geo levels, smoothed aggregation below.
 
+    The geometric levels are the meshes of `geometric_levels(mesh,
+    coarse_max_dofs)`, each coarsened to the next by its `prolongation()`.
     n_geo=0 is pure SA-AMG, the only case that reads `near_nullspace` (and
     may have mesh=None). n_geo=None is pure GMG, down to a geometric coarsest
     level. Otherwise aggregation starts from the rigid-body modes of the
-    coarsest geometric grid.
+    coarsest geometric mesh, with its own element sizes.
 
     `like` is the `aggregates` of an earlier pure SA build with the same
     coarse bound, and takes n_geo=0. Its levels are refreshed rather than
@@ -535,7 +476,7 @@ def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
 
     `moduli` are the element moduli that K was assembled from
     (`assemble_stiffness`). Given them, the first geometric level's coarse
-    operator is built from them (`_element_galerkin`) rather than by the
+    operator is built from them (`coarsened_stiffness`) rather than by the
     sparse triple product; every other coarse operator is a triple product.
     """
     if moduli is not None:
@@ -555,7 +496,7 @@ def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
         the element moduli if given."""
         nonlocal A
         levels.append(MgLevel(A, P, provenance, make_smoother(smoother, A, block_size)))
-        A = _galerkin(A, P) if moduli is None else _element_galerkin(mesh, A, P, moduli)
+        A = _galerkin(A, P) if moduli is None else coarsened_stiffness(mesh, A, moduli)
 
     if like is not None:
         flags = list(like.flags)
@@ -570,21 +511,19 @@ def build_hybrid(mesh, K, near_nullspace, n_geo, coarse_max_dofs, smoother=None,
         block_size = 2 if B.shape[1] == 3 else 3 if B.shape[1] == 6 else 1
     else:
         block_size = mesh.dofs_per_node
-        plan = gmg_level_dims(mesh.dims, block_size, coarse_max_dofs)
+        plan = geometric_levels(mesh, coarse_max_dofs)
         n_fine = len(plan) - 1 if n_geo is None else min(n_geo, len(plan) - 1)
-        for i, dims in enumerate(plan[:n_fine]):
-            step(geometric_prolongation(dims, block_size), "geometric", block_size,
-                 moduli if i == 0 else None)
+        for i, level in enumerate(plan[:n_fine]):
+            step(level.prolongation(), "geometric", block_size, moduli if i == 0 else None)
         if n_geo is None:
             if len(plan) == 1:
                 flags.append("no_coarsening_possible")
             if A.shape[0] > coarse_max_dofs:
                 flags.append("coarse_bound_not_reached")
         else:
-            if n_geo > n_fine and all(d <= 1 for d in plan[-1]):
+            if n_geo > n_fine and plan[-1].element_count == 1:
                 flags.append("geometric_coarsening_exhausted")
-            B = rigid_body_modes(StructuredMesh(
-                plan[n_fine], tuple(h * 2 ** n_fine for h in mesh.element_size)))
+            B = rigid_body_modes(plan[n_fine])
     if like is None and n_geo is not None:
         nvec = B.shape[1]
         while A.shape[0] > coarse_max_dofs and len(kept) < MAX_SA_LEVELS:

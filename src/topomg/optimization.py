@@ -18,7 +18,7 @@ from .material import PenaltySchedule, SimpLaw, StressSimpLaw
 from .mesh import (assemble_stiffness, assemble_stress_stiffness, element_stiffness,
                    geometric_stiffness_tensor, rigid_body_modes)
 from .multigrid import (Aggregates, MgHierarchy, SmootherConfig, build_hybrid,
-                        gmg_level_dims)
+                        geometric_levels)
 
 # exponent of the p-norm aggregate of the buckling eigenvalues
 P_NORM = 8
@@ -111,8 +111,7 @@ class SolverHarness:
         if self.strategy not in STRATEGIES:
             raise ValueError("unknown preconditioner strategy %r" % self.strategy)
         if self.strategy == "hybrid_adaptive":
-            n_levels = len(gmg_level_dims(self.mesh.dims, self.mesh.dofs_per_node,
-                                          self.coarse_max_dofs))
+            n_levels = len(geometric_levels(self.mesh, self.coarse_max_dofs))
             object.__setattr__(self, "n_geo",
                                max(ADAPTIVE_MIN_GEO, min(self.n_geo, n_levels - 1)))
 

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topomg.bench import cantilever2d_problem, cantilever3d_problem
 from topomg.mesh import (BoundaryConditions, _scatter, assemble_stiffness,
@@ -145,6 +147,27 @@ def test_element_connectivity_distinct_nodes():
         conn = m.element_nodes()
         for row in conn:
             assert len(set(row.tolist())) == row.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda ndim: st.tuples(
+    st.lists(st.integers(1, 7), min_size=ndim, max_size=ndim),
+    st.lists(st.integers(1, 64), min_size=ndim, max_size=ndim))))
+def test_prolongation_interpolates_the_coarsened_mesh_exactly(case):
+    # element sizes of k/8 keep every coordinate and its interpolation exact
+    dims, eighths = case
+    mesh = build_mesh(dims, [k / 8 for k in eighths])
+    coarse = mesh.coarsened()
+    P = mesh.prolongation()
+    assert P.shape == (mesh.total_dofs, coarse.total_dofs)
+    dpn = mesh.dofs_per_node
+    # multilinear interpolation reproduces each linear field in each component
+    for axis in range(mesh.ndim):
+        for c in range(dpn):
+            field, expected = np.zeros(coarse.total_dofs), np.zeros(mesh.total_dofs)
+            field[c::dpn] = coarse.node_coordinates()[:, axis]
+            expected[c::dpn] = mesh.node_coordinates()[:, axis]
+            assert np.array_equal(P @ field, expected)
 
 
 # ---------------------------------------------------------------------------

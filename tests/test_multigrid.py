@@ -9,17 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import topomg.krylov as krylov
+import topomg.multigrid as multigrid
 import topomg.optimization as optimization
 from topomg.bench import cantilever2d_problem, cantilever3d_problem, column_problem
 from topomg.material import SimpLaw
 from topomg.mesh import (BoundaryConditions, assemble_stiffness, build_mesh,
-                         rigid_body_modes)
-from topomg.multigrid import (DENSE_FRACTION, SmootherConfig, _element_galerkin,
-                              _galerkin, _merge_small_aggregates, aggregate_nodes,
-                              build_gmg, build_hybrid, build_sa_amg, estimate_spectral_radius,
-                              geometric_prolongation, gmg_level_dims, make_smoother,
-                              smoothed_prolongation, strength_of_connection,
-                              tentative_prolongation)
+                         coarsened_stiffness, rigid_body_modes)
+from topomg.multigrid import (DENSE_FRACTION, SmootherConfig, _galerkin,
+                              _merge_small_aggregates, aggregate_nodes, build_gmg,
+                              build_hybrid, build_sa_amg, estimate_spectral_radius,
+                              geometric_levels, make_smoother, smoothed_prolongation,
+                              strength_of_connection, tentative_prolongation)
 from topomg.optimization import SolverHarness, adapted_depth
 
 
@@ -56,13 +56,13 @@ def galerkin_consistency(h):
 # ---------------------------------------------------------------------------
 
 def test_gmg_levels_paper_scale():
-    dims = (2048, 1024)
+    mesh = build_mesh((2048, 1024))
     for bound, expected in ((150, 9), (5000, 6), (20000, 5)):
-        assert len(gmg_level_dims(dims, 2, bound)) == expected
+        assert len(geometric_levels(mesh, bound)) == expected
 
 
 def test_prolongation_nested_node_weight_one():
-    P = geometric_prolongation((2, 2), 2)
+    P = build_mesh((2, 2)).prolongation()
     # coarse mesh 1x1 -> 4 coarse nodes, 8 coarse dofs
     assert P.shape == (18, 8)
     Pd = P.toarray()
@@ -72,7 +72,7 @@ def test_prolongation_nested_node_weight_one():
 
 def test_prolongation_partition_of_unity():
     for dims in ((4, 4), (6, 3), (5, 7)):
-        P = geometric_prolongation(dims, 2)
+        P = build_mesh(dims).prolongation()
         const_x = np.zeros(P.shape[1])
         const_x[0::2] = 1.0
         out = P @ const_x
@@ -364,6 +364,31 @@ def test_hybrid_ends_keep_their_coarsest_level_and_flags():
         build_hybrid(mesh, K, B, -1, coarse_max_dofs=5)
 
 
+@pytest.mark.parametrize("dims, n_geo, bound", [((64, 2), 2, 50), ((32, 8, 2), 2, 100),
+                                                ((2, 1), 9, 5)])
+def test_hybrid_candidates_are_the_kernel_of_the_coarsest_geometric_operator(
+        monkeypatch, dims, n_geo, bound):
+    # an axis reaches one element before the last geometric level, so the
+    # coarsest geometric mesh's element sizes differ between its axes; each
+    # bound leaves that mesh with more dofs than the bound, so it aggregates
+    mesh = build_mesh(dims)
+    moduli = np.random.default_rng(0).uniform(0.05, 1.0, mesh.element_count)
+    _, _, K = cantilever_k(dims, moduli)
+    candidates = []
+
+    def recorded(agg, near_nullspace, block_size, _tentative=multigrid.tentative_prolongation):
+        candidates.append(near_nullspace)
+        return _tentative(agg, near_nullspace, block_size)
+
+    monkeypatch.setattr(multigrid, "tentative_prolongation", recorded)
+    h = build_hybrid(mesh, K, None, n_geo, bound)
+    A = assemble_stiffness(mesh, None, moduli)
+    for lv in h.levels[:h.n_geometric]:
+        A = _galerkin(A, lv.P)
+    assert candidates and candidates[0].shape[0] == A.shape[0]
+    assert abs(A @ candidates[0]).max() <= 1e-12 * abs(A).max()
+
+
 @pytest.fixture(scope="module")
 def uniform_cantilever():
     mesh, bc = cantilever2d_problem((96, 48))
@@ -482,9 +507,8 @@ def _lone_free_dof_case(dims):
 @example(_lone_free_dof_case((2, 2, 2)))
 def test_first_coarse_operator_from_moduli_matches_the_triple_product(case):
     mesh, moduli, K = case
-    P = geometric_prolongation(mesh.dims, mesh.dofs_per_node)
-    expected = _galerkin(K, P)
-    A = _element_galerkin(mesh, K, P, moduli)
+    expected = _galerkin(K, mesh.prolongation())
+    A = coarsened_stiffness(mesh, K, moduli)
     assert A.shape == expected.shape
     assert abs(A - expected).max() <= 1e-14 * abs(expected).max()
 
