@@ -22,6 +22,11 @@ _CORNERS = {
 }
 # Voigt shear components: strain row ndim + r pairs the axes _SHEAR[ndim][r].
 _SHEAR = {2: [(0, 1)], 3: [(0, 1), (1, 2), (0, 2)]}
+# `_scatter` accumulates the node blocks of as many node layers at a time as
+# fit in this many bytes, and at least one: 55 layers of 32x128 and 18 of
+# 96x48, where chunks that stay in cache assemble fastest, and one layer of
+# 24x12x12 or 48x24x24, whose chunk of 0.6 or 2.4 MB adds to the matrix
+SCATTER_CHUNK_BYTES = 2 ** 19
 
 
 def _lattice(counts):
@@ -378,7 +383,7 @@ def _scatter(mesh, moduli, ke, bc, unit_diagonal=False):
     axes = len(grid)
     ke = ke.reshape(grid + (k, dpn, k, dpn)).transpose(
         (axes, axes + 2, 0, axes + 1, axes + 3) + tuple(range(1, axes)))
-    chunk = -(-(grid[0] + 1) // 8)  # layers per chunk, for at most eight chunks
+    chunk = min(max(SCATTER_CHUNK_BYTES // (dpn * n_off * dpn * layer * 8), 1), grid[0] + 1)
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=np.int32)
     chunk_blocks = np.empty((chunk, dpn, n_off, dpn) + plane)
@@ -396,14 +401,20 @@ def _scatter(mesh, moduli, ke, bc, unit_diagonal=False):
             m = moduli[e0:e1]
             for b in range(k):
                 target[:, :, stencil[a, b]] += m * ke[a, b, e0:e1]
-        for z in range(l0, l1):
-            gather, columns = layers[0 if z == 0 else 2 if z == grid[0] else 1]
-            p = indptr[dpn * layer * z]
+        # the chunk's first, in-between and last layers, each kind at once:
+        # the layers of one kind hold equally many entries, one after another
+        for z0, z1, (gather, columns) in ((0, 1, layers[0]), (1, grid[0], layers[1]),
+                                          (grid[0], grid[0] + 1, layers[2])):
+            z0, z1 = max(z0, l0), min(z1, l1)
+            if z0 >= z1:
+                continue
+            p, q = indptr[dpn * layer * z0], indptr[dpn * layer * z1]
             # the positions are all in range, so clipping, which is faster
             # than the default bounds check, changes none of them
-            np.take(blocks[z - l0].reshape(-1), gather, out=data[p:p + gather.size],
-                    mode="clip")
-            np.add(columns, dpn * layer * z, out=indices[p:p + gather.size])
+            np.take(blocks[z0 - l0:z1 - l0].reshape(z1 - z0, -1), gather, axis=1,
+                    out=data[p:q].reshape(z1 - z0, -1), mode="clip")
+            np.add(columns, dpn * layer * np.arange(z0, z1, dtype=np.int32)[:, None],
+                   out=indices[p:q].reshape(z1 - z0, -1))
     n = mesh.total_dofs
     K = sp.csr_matrix((data, indices, indptr.copy()), shape=(n, n))
     K.has_sorted_indices = True
@@ -451,6 +462,76 @@ def assemble_stress_stiffness(mesh, bc, u, element_sigma_moduli):
     return _scatter(mesh, moduli, ke, bc)
 
 
+def _dirichlet_rows(K):
+    """(F, D_F): K's single-entry diagonal rows and their entries.
+
+    For a stiffness that `assemble_stiffness` assembled, F holds the fixed
+    dofs, whose rows and columns `_scatter` zeroed before setting a unit
+    diagonal, and any free dof whose every coupled dof is fixed, which keeps
+    its own diagonal. Every other row and column of K is the unconstrained
+    stiffness's.
+    """
+    F = np.flatnonzero(np.diff(K.indptr) == 1)
+    F = F[K.indices[K.indptr[F]] == F]
+    return F, K.data[K.indptr[F]]
+
+
+class _ElementProduct:
+    """Products K @ v with the stiffness K that `assemble_stiffness` assembled
+    from the element moduli, taken element by element (Schmidt & Schulz 2011)
+    instead of through K's CSR arrays.
+
+    With F and D_F K's `_dirichlet_rows`, K v is the unconstrained stiffness
+    applied to v with its entries F zeroed, masked on F, plus D_F v_F on F.
+    The unconstrained product gathers each element corner's dofs from the
+    node grid, held dof-major, as a (corners * dofs_per_node, elements)
+    array, multiplies it by the element stiffness in one matrix product,
+    scales each element's column by its modulus and adds the corners back.
+    """
+
+    def __init__(self, mesh, K, element_moduli):
+        self.mesh = mesh
+        self.moduli = np.asarray(element_moduli, dtype=float)
+        self.fixed, self.fixed_diagonal = _dirichlet_rows(K)
+
+    def __matmul__(self, v):
+        mesh = self.mesh
+        dpn = mesh.dofs_per_node
+        grid = mesh.dims[::-1]
+        # each corner's nodes of the elements, as a slice of the node grid
+        corners = [(slice(None),) + tuple(slice(c, c + n) for c, n in zip(corner, grid))
+                   for corner in _CORNERS[mesh.ndim][:, ::-1]]
+        u = v.copy()
+        u[self.fixed] = 0.0
+        nodes = u.reshape(-1, dpn).T.reshape((dpn,) + tuple(n + 1 for n in grid))
+        ue = np.empty((len(corners), dpn) + grid)
+        for a, corner in enumerate(corners):
+            ue[a] = nodes[corner]
+        fe = element_stiffness(mesh) @ ue.reshape(len(corners) * dpn, -1)
+        fe *= self.moduli
+        fe = fe.reshape(ue.shape)
+        out = np.zeros(nodes.shape)
+        for a, corner in enumerate(corners):
+            out[corner] += fe[a]
+        y = out.reshape(dpn, -1).T.ravel()
+        y[self.fixed] = self.fixed_diagonal * v[self.fixed]
+        return y
+
+
+def stiffness_operator(mesh, K, element_moduli):
+    """An operator whose `@` with a vector v equals K @ v, for the stiffness
+    K that `assemble_stiffness` assembled from the element moduli, with or
+    without a bc.
+
+    On a 3D mesh the products are taken element by element
+    (`_ElementProduct`): they read the moduli and one 24x24 element matrix
+    rather than K's 81 entries per row, and are the faster ones there. On a
+    2D mesh, where K has 18 entries per row and its CSR product is the
+    faster one, the operator is K itself.
+    """
+    return K if mesh.ndim == 2 else _ElementProduct(mesh, K, element_moduli)
+
+
 @functools.cache
 def _coarsening_table(mesh):
     """The Galerkin-coarsened element matrices Q_s^T ke Q_s of the mesh and
@@ -488,12 +569,9 @@ def coarsened_stiffness(mesh, K, element_moduli):
     the children's moduli with the mesh's table of the Q_s^T ke Q_s. A child
     past the end of an odd axis has modulus 0.
 
-    A Dirichlet correction is added. K's single-entry diagonal rows F hold
-    its fixed dofs, whose rows and columns `_scatter` zeroed before setting a
-    unit diagonal, and any free dof whose every coupled dof is fixed, which
-    keeps its own diagonal. With D_F those diagonal entries, P_F = P[F] and
-    R_F the rows F of the unconstrained stiffness, summed from the elements
-    that hold them only, the correction is
+    A Dirichlet correction is added. With F and D_F K's `_dirichlet_rows`,
+    P_F = P[F] and R_F the rows F of the unconstrained stiffness, summed from
+    the elements that hold them only, the correction is
     P_F^T D_F P_F - P_F^T (R_F P) - (R_F P)^T P_F + P_F^T R_FF P_F. The sum
     equals the sparse triple product to rounding.
     """
@@ -510,8 +588,7 @@ def coarsened_stiffness(mesh, K, element_moduli):
     ke = (table.T @ children.reshape(coarse.element_count, -1).T).T
     nd = int(np.sqrt(table.shape[1]))
     A = _scatter(coarse, np.ones(coarse.element_count), ke.reshape(-1, nd, nd), None)
-    F = np.flatnonzero(np.diff(K.indptr) == 1)
-    F = F[K.indices[K.indptr[F]] == F]
+    F, DF = _dirichlet_rows(K)
     if F.size:
         row = np.full(mesh.total_dofs, -1)
         row[F] = np.arange(F.size)
@@ -526,8 +603,7 @@ def coarsened_stiffness(mesh, K, element_moduli):
         P = mesh.prolongation()
         PF = P[F]
         RP = R @ P
-        DF = sp.diags(K.data[K.indptr[F]]) @ PF
-        A = A + (PF.T @ (DF - RP + R[:, F] @ PF) - RP.T @ PF)
+        A = A + (PF.T @ (sp.diags(DF) @ PF - RP + R[:, F] @ PF) - RP.T @ PF)
     return A
 
 

@@ -14,6 +14,14 @@ product, or for the first geometric level of a build given the element
 moduli, the mesh module's assembly of Galerkin-coarsened element matrices
 (`coarsened_stiffness`). The coarsest operator is factorized once at build
 time.
+
+Every level keeps its operator as CSR, which its smoother, the Galerkin
+product and `summary` read. The finest level's two V-cycle residuals can
+instead be formed by another operator with the same products, passed to
+`MgHierarchy.apply`: given the element moduli, the solver harness passes
+`mesh.stiffness_operator`, which on a 3D mesh applies K element by element
+and on a 2D mesh is K itself, whose CSR product is the faster one there.
+Callers with K only and every coarser level multiply through CSR.
 """
 
 from collections import namedtuple
@@ -218,20 +226,24 @@ class MgHierarchy:
     def n_geometric(self):
         return sum(1 for lv in self.levels[:-1] if lv.provenance == "geometric")
 
-    def apply(self, b):
+    def apply(self, b, A=None):
         """One V-cycle with a zero initial guess, the preconditioner M b; a
-        hierarchy without levels (strategy 'none') returns b itself."""
-        return self._vcycle(b, 0) if self.levels else b
+        hierarchy without levels (strategy 'none') returns b itself. A, if
+        given, is an operator with the products of the finest level's A (its
+        `mesh.stiffness_operator`) and forms that level's residuals."""
+        return self._vcycle(b, 0, A) if self.levels else b
 
-    def _vcycle(self, b, k):
+    def _vcycle(self, b, k, A=None):
         """The V-cycle on level k: a smoothing correction of b, a coarse
         correction of the residual it leaves, and a smoothing correction of
-        the residual left after that."""
+        the residual left after that. The residuals are formed by A, or by
+        the level's own A if None."""
         lvl = self.levels[k]
+        A = lvl.A if A is None else A
         x = lvl.smoother(b)
         if lvl.P is not None:  # on the coarsest level the correction is exact
-            x += lvl.P @ self._vcycle(lvl.P.T @ (b - lvl.A @ x), k + 1)
-            x += lvl.smoother(b - lvl.A @ x)
+            x += lvl.P @ self._vcycle(lvl.P.T @ (b - A @ x), k + 1)
+            x += lvl.smoother(b - A @ x)
         return x
 
     def summary(self):

@@ -7,6 +7,7 @@ AMG run aggregates once, at its first step; every later step re-smooths the
 kept tentative prolongations with its own operator.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -16,7 +17,7 @@ from . import krylov
 from .eigensolver import DavidsonConfig, generalized_davidson
 from .material import PenaltySchedule, SimpLaw, StressSimpLaw
 from .mesh import (assemble_stiffness, assemble_stress_stiffness, element_stiffness,
-                   geometric_stiffness_tensor, rigid_body_modes)
+                   geometric_stiffness_tensor, rigid_body_modes, stiffness_operator)
 from .multigrid import (Aggregates, MgHierarchy, SmootherConfig, build_hybrid,
                         geometric_levels)
 
@@ -134,14 +135,19 @@ class SolverHarness:
     def solve(self, K, f, x0=None, hierarchy=None, moduli=None):
         """Solve K x = f; returns (x, SolveRecord, hierarchy). Without
         `hierarchy`, one is built for K, from `moduli` too if given (see
-        `build`)."""
+        `build`). Given `moduli`, one `stiffness_operator` of K takes both
+        GMRES's products and the finest V-cycle level's residuals."""
         setup = 0.0
         if hierarchy is None:
             hierarchy, setup = self.build(K, moduli)
+        A, M = K, hierarchy.apply
+        if moduli is not None:
+            A = stiffness_operator(self.mesh, K, moduli)
+            M = functools.partial(hierarchy.apply, A=A)
         # a nonstationary smoother makes the V-cycle change between
         # applications, which only flexible GMRES allows
         solve = krylov.gmres_solve if self.smoother.stationary else krylov.fgmres_solve
-        x, rec = solve(K, f, x0, hierarchy.apply, self.solve_cfg)
+        x, rec = solve(A, f, x0, M, self.solve_cfg)
         rec.setup_time = setup
         return x, rec, hierarchy
 
@@ -244,7 +250,7 @@ def stability_objective_and_sensitivity(mesh, bc, filt, law, stress_law, alpha,
     for i in range(n_used):
         phi = eig.eigenvectors[:, i]
         rhs = adjoint_rhs(mesh, phi, Es, bc.fixed_dofs)
-        v, arec, _ = harness.solve(K, rhs, x0=None, hierarchy=hierarchy)
+        v, arec, _ = harness.solve(K, rhs, x0=None, hierarchy=hierarchy, moduli=E)
         _check_converged("adjoint solve %d" % i, arec)
         adjoint_iters += arec.iterations
         adjoint_slowest = max(adjoint_slowest, arec.iterations)

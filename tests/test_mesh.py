@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topomg.bench import cantilever2d_problem, cantilever3d_problem
-from topomg.mesh import (BoundaryConditions, _scatter, assemble_stiffness,
+from topomg.mesh import (_CORNERS, BoundaryConditions, _scatter, assemble_stiffness,
                          assemble_stress_stiffness, build_filter, build_mesh,
                          element_stiffness, geometric_stiffness_tensor,
-                         rigid_body_modes)
+                         rigid_body_modes, stiffness_operator)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +378,66 @@ def test_assembly_peak_memory_stays_within_twice_the_matrix():
             tracemalloc.stop()
         # the matrix plus one chunk of node blocks
         assert peak <= 2.0 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+
+
+@st.composite
+def product_cases(draw):
+    """A 3D mesh of dims 1-7, odd ones and ones of 1 among them, element
+    sizes k/4, random or uniform moduli, and no bc, single random dofs
+    fixed, every dof but one fixed, or the x = 0 face fixed; the stiffness
+    assembled from them and a random vector."""
+    dims = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    mesh = build_mesh(dims, [draw(st.integers(1, 8)) / 4 for _ in range(3)])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    moduli = (rng.uniform(1e-3, 1.0, mesh.element_count)
+              if draw(st.booleans()) else np.full(mesh.element_count, 0.4))
+    n = mesh.total_dofs
+    fixing = draw(st.sampled_from(["none", "dofs", "all_but_one", "face"]))
+    if fixing == "dofs":
+        fixed = rng.choice(n, 1 + n // 5, replace=False)
+    elif fixing == "all_but_one":
+        fixed = np.delete(np.arange(n), rng.integers(n))
+    elif fixing == "face":
+        fixed = np.flatnonzero(np.repeat(mesh.node_coordinates()[:, 0] == 0, 3))
+    bc = None if fixing == "none" else BoundaryConditions(fixed, np.zeros(n))
+    return mesh, moduli, assemble_stiffness(mesh, bc, moduli), rng.standard_normal(n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_cases())
+def test_element_product_equals_the_csr_product(case):
+    mesh, moduli, K, v = case
+    y = stiffness_operator(mesh, K, moduli) @ v
+    assert y.shape == v.shape
+    assert abs(y - K @ v).max() <= 1e-14 * abs(K).max() * abs(v).max()
+
+
+def test_the_2d_operator_is_the_matrix_itself():
+    m, bc = cantilever2d_problem((12, 6))
+    moduli = np.random.default_rng(3).uniform(0.01, 1.0, m.element_count)
+    K = assemble_stiffness(m, bc, moduli)
+    assert stiffness_operator(m, K, moduli) is K
+
+
+def test_element_product_temporaries_stay_far_below_the_matrix():
+    m, bc = cantilever3d_problem((24, 12, 12))
+    rng = np.random.default_rng(7)
+    moduli = rng.uniform(0.01, 1.0, m.element_count)
+    K = assemble_stiffness(m, bc, moduli)
+    op = stiffness_operator(m, K, moduli)
+    v = rng.standard_normal(m.total_dofs)
+    op @ v  # caches the element stiffness
+    tracemalloc.start()
+    try:
+        op @ v
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the corner dofs of every element and their products with the element
+    # stiffness, plus a few vectors; K's arrays are about ten times as large
+    corner_array = _CORNERS[3].size * m.element_count * 8
+    assert peak <= 3 * corner_array
+    assert 3 * corner_array <= (K.data.nbytes + K.indices.nbytes) / 4
 
 
 def _block_pattern(mesh):
